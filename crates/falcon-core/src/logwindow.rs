@@ -387,7 +387,15 @@ impl LogWindow {
             self.obs.wraps += 1;
         }
         let h = slot_hdr(self.base, self.cur);
-        debug_assert_eq!(self.dev.load_u64(h.add(S_STATE), ctx), FREE);
+        // Peeked with `raw_read`, not `load_u64`: an assertion must not
+        // run the cache model or advance the virtual clock, or debug and
+        // release builds would report different virtual metrics.
+        #[cfg(debug_assertions)]
+        {
+            let mut state = [0u8; 8];
+            self.dev.raw_read(h.add(S_STATE), &mut state);
+            assert_eq!(u64::from_le_bytes(state), FREE);
+        }
         #[cfg(feature = "persist-check")]
         self.dev.trace_emit(Event::LogRange {
             thread: ctx.thread_id,

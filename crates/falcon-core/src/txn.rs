@@ -17,6 +17,8 @@
 //! * **MV2PL / MVTO / MVOCC** — the same, plus DRAM version chains so
 //!   read-only transactions read a snapshot without blocking.
 
+use std::mem;
+
 #[cfg(feature = "persist-check")]
 use pmem_sim::trace::Event;
 use pmem_sim::PAddr;
@@ -917,8 +919,8 @@ impl<'e, 'w> Txn<'e, 'w> {
 
     fn rollback(&mut self) {
         let epoch = self.e.epoch;
-        for i in 0..self.w.ws.len() {
-            let tw = self.w.ws[i].clone();
+        let ws = mem::take(&mut self.w.ws);
+        for tw in &ws {
             match tw.kind {
                 RedoKind::Insert => {
                     let t = self.e.table(tw.table);
@@ -939,6 +941,7 @@ impl<'e, 'w> Txn<'e, 'w> {
                 _ => self.undo_lock(tw.tuple, tw.observed, tw.locked),
             }
         }
+        self.w.ws = ws;
         self.release_read_locks();
         if !self.read_only && self.e.in_place() {
             let window = self.w.window.as_mut().expect("in-place");
@@ -1034,8 +1037,8 @@ impl<'e, 'w> Txn<'e, 'w> {
             tid,
         });
         // Lines 3–6: apply in place, releasing locks as we go.
-        for i in 0..self.w.ws.len() {
-            let tw = self.w.ws[i].clone();
+        let ws = mem::take(&mut self.w.ws);
+        for tw in &ws {
             let dev = &self.e.dev;
             if mv && tw.kind != RedoKind::Insert {
                 // Chain the old version (DRAM heap).
@@ -1087,6 +1090,7 @@ impl<'e, 'w> Txn<'e, 'w> {
             };
             self.meta().store(dev, tw.tuple, 0, unlock, &mut self.w.ctx);
         }
+        self.w.ws = ws;
         // Line 7 — deferred to the group fence under group commit: the
         // in-place stores are persistent at store time, so delaying the
         // ordering point past `finish` cannot lose a stamped commit
@@ -1122,8 +1126,8 @@ impl<'e, 'w> Txn<'e, 'w> {
     fn commit_out_of_place(&mut self) {
         let _epoch = self.e.epoch;
         let tid = self.tid;
-        for i in 0..self.w.ws.len() {
-            let tw = self.w.ws[i].clone();
+        let ws = mem::take(&mut self.w.ws);
+        for tw in &ws {
             let dev = self.e.dev.clone();
             let t = self.e.table(tw.table);
             match tw.kind {
@@ -1226,6 +1230,7 @@ impl<'e, 'w> Txn<'e, 'w> {
                 RedoKind::VersionCopy => {}
             }
         }
+        self.w.ws = ws;
         // Publish the commit: versions first, then the watermark.
         let fence_t0 = self.w.ctx.clock;
         let ap = self.w.ctx.attr_phase(Phase::CommitFence as usize);
@@ -1291,8 +1296,8 @@ impl<'e, 'w> Txn<'e, 'w> {
 
     /// Lines 8–11 of Algorithm 1: hinted flush + hot-tuple tracking.
     fn flush_stage(&mut self) {
-        for i in 0..self.w.ws.len() {
-            let tw = self.w.ws[i].clone();
+        let ws = mem::take(&mut self.w.ws);
+        for tw in &ws {
             match tw.kind {
                 RedoKind::Update => {
                     // Hinted flush: flush the contiguous byte ranges the
@@ -1318,6 +1323,7 @@ impl<'e, 'w> Txn<'e, 'w> {
                 RedoKind::VersionCopy => {}
             }
         }
+        self.w.ws = ws;
     }
 
     fn flush_tuple(&mut self, tuple: TupleRef, off: u64, len: u64) {

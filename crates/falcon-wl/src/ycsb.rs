@@ -219,14 +219,17 @@ impl Ycsb {
         n - 1 - back
     }
 
-    /// All-field update ops for a row (the paper's configuration).
-    fn update_ops(&self, payload: &[u8]) -> Vec<(u32, Vec<u8>)> {
-        let mut ops = Vec::with_capacity(self.cfg.fields);
-        for f in 0..self.cfg.fields {
-            let off = 8 + f as u32 * self.cfg.field_len;
-            ops.push((off, payload.to_vec()));
-        }
-        ops
+    /// One field's worth of `byte` (the value every updated column gets).
+    fn payload(&self, byte: u8) -> Vec<u8> {
+        vec![byte; self.cfg.field_len as usize]
+    }
+
+    /// All-field update ops for a row (the paper's configuration): every
+    /// column is set to the same `payload`.
+    fn update_ops<'p>(&self, payload: &'p [u8]) -> Vec<(u32, &'p [u8])> {
+        (0..self.cfg.fields as u32)
+            .map(|f| (8 + f * self.cfg.field_len, payload))
+            .collect()
     }
 }
 
@@ -243,8 +246,9 @@ impl Workload for Ycsb {
     }
 
     fn txn(&self, engine: &Engine, w: &mut Worker, rng: &mut StdRng) -> Result<usize, TxnError> {
+        // Drawn first on every path so key streams do not depend on the
+        // read/write split; only write paths materialise the payload.
         let payload_byte: u8 = rng.random();
-        let payload = vec![payload_byte; self.cfg.field_len as usize];
         match self.cfg.workload {
             YcsbWorkload::A | YcsbWorkload::B | YcsbWorkload::C => {
                 let write_pct = match self.cfg.workload {
@@ -255,10 +259,8 @@ impl Workload for Ycsb {
                 let key = self.pick_key(rng);
                 if rng.random_range(0..100) < write_pct {
                     let mut t = engine.begin(w, false);
-                    let ops_owned = self.update_ops(&payload);
-                    let ops: Vec<(u32, &[u8])> =
-                        ops_owned.iter().map(|(o, b)| (*o, b.as_slice())).collect();
-                    t.update(TABLE, key, &ops)?;
+                    let payload = self.payload(payload_byte);
+                    t.update(TABLE, key, &self.update_ops(&payload))?;
                     t.commit()?;
                     Ok(1)
                 } else {
@@ -311,12 +313,9 @@ impl Workload for Ycsb {
                     // A).
                     let mut t = engine.begin(w, false);
                     let cur = t.read(TABLE, key)?;
-                    let mut new_payload = payload.clone();
-                    new_payload[0] = cur[8].wrapping_add(1);
-                    let ops_owned = self.update_ops(&new_payload);
-                    let ops: Vec<(u32, &[u8])> =
-                        ops_owned.iter().map(|(o, b)| (*o, b.as_slice())).collect();
-                    t.update(TABLE, key, &ops)?;
+                    let mut payload = self.payload(payload_byte);
+                    payload[0] = cur[8].wrapping_add(1);
+                    t.update(TABLE, key, &self.update_ops(&payload))?;
                     t.commit()?;
                     Ok(4)
                 } else {

@@ -54,25 +54,46 @@ impl Backing {
         );
     }
 
-    /// Read `buf.len()` bytes starting at `off`.
+    /// Range-check `[off, off + len)` and split it into the three parts
+    /// every byte-range kernel below walks.
+    #[inline]
+    fn span(&self, off: u64, len: usize) -> Span<'_> {
+        self.check_range(off, len as u64);
+        let shift = (off % 8) as usize;
+        let head = if shift == 0 { 0 } else { (8 - shift).min(len) };
+        let mid = (len - head) / 8;
+        let tail = (len - head) % 8;
+        let first = (off / 8) as usize + usize::from(head > 0);
+        Span {
+            head_word: (head > 0).then(|| &self.words[first - 1]),
+            shift,
+            head,
+            mid: &self.words[first..first + mid],
+            tail_word: (tail > 0).then(|| &self.words[first + mid]),
+            tail,
+        }
+    }
+
+    /// Read `buf.len()` bytes starting at `off`: one relaxed load per
+    /// word the range overlaps.
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
     pub fn read_bytes(&self, off: u64, buf: &mut [u8]) {
-        self.check_range(off, buf.len() as u64);
-        let mut pos = off;
-        let mut i = 0usize;
-        while i < buf.len() {
-            let word_base = pos & !7;
-            let shift = (pos - word_base) as usize;
-            let avail = 8 - shift;
-            let take = avail.min(buf.len() - i);
-            let w = self.word(word_base).load(Ordering::Relaxed);
-            let bytes = w.to_le_bytes();
-            buf[i..i + take].copy_from_slice(&bytes[shift..shift + take]);
-            pos += take as u64;
-            i += take;
+        let s = self.span(off, buf.len());
+        let (head, rest) = buf.split_at_mut(s.head);
+        let (mid, tail) = rest.split_at_mut(s.mid.len() * 8);
+        if let Some(cell) = s.head_word {
+            let bytes = cell.load(Ordering::Relaxed).to_le_bytes();
+            head.copy_from_slice(&bytes[s.shift..s.shift + s.head]);
+        }
+        for (chunk, cell) in mid.chunks_exact_mut(8).zip(s.mid) {
+            chunk.copy_from_slice(&cell.load(Ordering::Relaxed).to_le_bytes());
+        }
+        if let Some(cell) = s.tail_word {
+            let bytes = cell.load(Ordering::Relaxed).to_le_bytes();
+            tail.copy_from_slice(&bytes[..s.tail]);
         }
     }
 
@@ -87,47 +108,32 @@ impl Backing {
     ///
     /// Panics if the range is out of bounds.
     pub fn write_bytes(&self, off: u64, data: &[u8]) {
-        self.check_range(off, data.len() as u64);
-        let mut pos = off;
-        let mut i = 0usize;
-        while i < data.len() {
-            let word_base = pos & !7;
-            let shift = (pos - word_base) as usize;
-            let avail = 8 - shift;
-            let take = avail.min(data.len() - i);
-            let cell = self.word(word_base);
-            if take == 8 {
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&data[i..i + 8]);
-                cell.store(u64::from_le_bytes(b), Ordering::Relaxed);
-            } else {
-                let mut bytes = cell.load(Ordering::Relaxed).to_le_bytes();
-                bytes[shift..shift + take].copy_from_slice(&data[i..i + take]);
-                cell.store(u64::from_le_bytes(bytes), Ordering::Relaxed);
-            }
-            pos += take as u64;
-            i += take;
+        let s = self.span(off, data.len());
+        let (head, rest) = data.split_at(s.head);
+        let (mid, tail) = rest.split_at(s.mid.len() * 8);
+        if let Some(cell) = s.head_word {
+            merge(cell, s.shift, s.head, |dst| dst.copy_from_slice(head));
+        }
+        for (chunk, cell) in mid.chunks_exact(8).zip(s.mid) {
+            let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+            cell.store(word, Ordering::Relaxed);
+        }
+        if let Some(cell) = s.tail_word {
+            merge(cell, 0, s.tail, |dst| dst.copy_from_slice(tail));
         }
     }
 
-    /// Zero a byte range.
+    /// Zero a byte range (same word discipline as [`Backing::write_bytes`]).
     pub fn zero(&self, off: u64, len: u64) {
-        self.check_range(off, len);
-        let mut pos = off;
-        let end = off + len;
-        while pos < end {
-            let word_base = pos & !7;
-            let shift = (pos - word_base) as usize;
-            let take = (8 - shift).min((end - pos) as usize);
-            let cell = self.word(word_base);
-            if take == 8 {
-                cell.store(0, Ordering::Relaxed);
-            } else {
-                let mut bytes = cell.load(Ordering::Relaxed).to_le_bytes();
-                bytes[shift..shift + take].fill(0);
-                cell.store(u64::from_le_bytes(bytes), Ordering::Relaxed);
-            }
-            pos += take as u64;
+        let s = self.span(off, len as usize);
+        if let Some(cell) = s.head_word {
+            merge(cell, s.shift, s.head, |dst| dst.fill(0));
+        }
+        for cell in s.mid {
+            cell.store(0, Ordering::Relaxed);
+        }
+        if let Some(cell) = s.tail_word {
+            merge(cell, 0, s.tail, |dst| dst.fill(0));
         }
     }
 
@@ -192,10 +198,10 @@ impl Backing {
         debug_assert!(line_off.is_multiple_of(crate::CACHE_LINE));
         self.check_range(line_off, crate::CACHE_LINE);
         dst.check_range(line_off, crate::CACHE_LINE);
-        for w in 0..(crate::CACHE_LINE / 8) {
-            let off = line_off + w * 8;
-            let v = self.word(off).load(Ordering::Relaxed);
-            dst.word(off).store(v, Ordering::Relaxed);
+        let w = (line_off / 8) as usize;
+        let n = (crate::CACHE_LINE / 8) as usize;
+        for (from, to) in self.words[w..w + n].iter().zip(&dst.words[w..w + n]) {
+            to.store(from.load(Ordering::Relaxed), Ordering::Relaxed);
         }
     }
 
@@ -203,9 +209,8 @@ impl Backing {
     /// reverts the CPU image to the media image).
     pub fn copy_all_to(&self, dst: &Backing) {
         assert_eq!(self.len, dst.len);
-        for i in 0..self.words.len() {
-            let v = self.words[i].load(Ordering::Relaxed);
-            dst.words[i].store(v, Ordering::Relaxed);
+        for (from, to) in self.words.iter().zip(&dst.words) {
+            to.store(from.load(Ordering::Relaxed), Ordering::Relaxed);
         }
     }
 
@@ -225,6 +230,31 @@ impl Backing {
         self.word(word_base)
             .fetch_xor(1u64 << shift, Ordering::Relaxed);
     }
+}
+
+/// A byte range decomposed against the word grid: an unaligned head
+/// inside one word, a run of whole words, and a tail that is a prefix of
+/// the word after them. Computed once per call so the kernels touch each
+/// overlapped word exactly once and the aligned middle is a plain slice
+/// walk (no per-word index arithmetic or bounds check).
+struct Span<'a> {
+    /// Word holding the head bytes `[shift, shift + head)`, if any.
+    head_word: Option<&'a AtomicU64>,
+    shift: usize,
+    head: usize,
+    /// Words covered entirely.
+    mid: &'a [AtomicU64],
+    /// Word holding the tail bytes `[0, tail)`, if any.
+    tail_word: Option<&'a AtomicU64>,
+    tail: usize,
+}
+
+/// Rewrite bytes `[at, at + len)` of a word with a relaxed load + store.
+#[inline]
+fn merge(cell: &AtomicU64, at: usize, len: usize, f: impl FnOnce(&mut [u8])) {
+    let mut bytes = cell.load(Ordering::Relaxed).to_le_bytes();
+    f(&mut bytes[at..at + len]);
+    cell.store(u64::from_le_bytes(bytes), Ordering::Relaxed);
 }
 
 impl core::fmt::Debug for Backing {

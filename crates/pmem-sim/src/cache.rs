@@ -66,8 +66,9 @@ struct Line {
 }
 
 struct Shard {
-    /// `sets[local][way]`.
-    sets: Box<[Box<[Line]>]>,
+    /// Every set this shard owns, flat: set `local`'s ways are
+    /// `lines[local * ways..(local + 1) * ways]`.
+    lines: Box<[Line]>,
     /// xorshift64 state for victim-scan rotation (deterministic per
     /// shard).
     rng: u64,
@@ -85,11 +86,29 @@ impl Shard {
     }
 }
 
+/// How a line address maps to `(shard, local set)`. The definition is
+/// `set = line % num_sets`, `shard = set % num_shards`,
+/// `local = set / num_shards`; when both counts are powers of two (true
+/// of every shipped preset) the same three values fall out of a mask
+/// and a shift, which is an arithmetic identity, not a second model.
+#[derive(Clone, Copy)]
+enum SetMap {
+    Pow2 {
+        set_mask: u64,
+        shard_mask: u64,
+        shard_shift: u32,
+    },
+    Generic {
+        num_sets: u64,
+        num_shards: u64,
+    },
+}
+
 /// The sharded cache model.
 pub struct CacheSim {
     shards: Box<[Mutex<Shard>]>,
+    map: SetMap,
     num_sets: u64,
-    num_shards: u64,
     ways: usize,
 }
 
@@ -98,78 +117,93 @@ impl CacheSim {
     /// `num_shards` ways.
     pub fn new(num_sets: u64, ways: usize, num_shards: usize) -> CacheSim {
         assert!(num_sets > 0 && ways > 0 && num_shards > 0);
-        let num_shards = num_shards.min(num_sets as usize);
+        let num_shards = num_shards.min(num_sets as usize) as u64;
         let empty = Line {
             addr: INVALID,
             dirty: false,
             rrpv: RRPV_MAX,
         };
-        let mut shards = Vec::with_capacity(num_shards);
-        for s in 0..num_shards as u64 {
-            // Shard `s` owns sets {s, s + S, s + 2S, ...}.
-            let local_sets = (num_sets - s).div_ceil(num_shards as u64);
-            let sets: Vec<Box<[Line]>> = (0..local_sets)
-                .map(|_| vec![empty; ways].into_boxed_slice())
-                .collect();
-            shards.push(Mutex::new(Shard {
-                sets: sets.into_boxed_slice(),
-                rng: 0x9E37_79B9_7F4A_7C15 ^ (s + 1),
-            }));
-        }
+        let shards: Vec<Mutex<Shard>> = (0..num_shards)
+            .map(|s| {
+                // Shard `s` owns sets {s, s + S, s + 2S, ...}.
+                let local_sets = (num_sets - s).div_ceil(num_shards) as usize;
+                Mutex::new(Shard {
+                    lines: vec![empty; local_sets * ways].into_boxed_slice(),
+                    rng: 0x9E37_79B9_7F4A_7C15 ^ (s + 1),
+                })
+            })
+            .collect();
+        let map = if num_sets.is_power_of_two() && num_shards.is_power_of_two() {
+            SetMap::Pow2 {
+                set_mask: num_sets - 1,
+                shard_mask: num_shards - 1,
+                shard_shift: num_shards.trailing_zeros(),
+            }
+        } else {
+            SetMap::Generic {
+                num_sets,
+                num_shards,
+            }
+        };
         CacheSim {
             shards: shards.into_boxed_slice(),
+            map,
             num_sets,
-            num_shards: num_shards as u64,
             ways,
         }
     }
 
+    /// `(shard, index of the set's first way in that shard's lines)`.
     #[inline]
     fn locate(&self, line_addr: u64) -> (usize, usize) {
-        let set = line_addr % self.num_sets;
-        (
-            (set % self.num_shards) as usize,
-            (set / self.num_shards) as usize,
-        )
+        let (shard, local) = match self.map {
+            SetMap::Pow2 {
+                set_mask,
+                shard_mask,
+                shard_shift,
+            } => {
+                let set = line_addr & set_mask;
+                (set & shard_mask, set >> shard_shift)
+            }
+            SetMap::Generic {
+                num_sets,
+                num_shards,
+            } => {
+                let set = line_addr % num_sets;
+                (set % num_shards, set / num_shards)
+            }
+        };
+        (shard as usize, local as usize * self.ways)
     }
 
     /// Access `line_addr`; fills on miss (SRRIP victim selection), marks
     /// dirty on writes, refreshes the re-reference prediction.
     pub fn access(&self, line_addr: u64, write: bool) -> AccessResult {
-        let (shard_i, local) = self.locate(line_addr);
+        let (shard_i, base) = self.locate(line_addr);
+        let ways = self.ways;
         let mut shard = self.shards[shard_i].lock();
-        let set = &mut shard.sets[local];
+        let set = &mut shard.lines[base..base + ways];
 
         // Hit?
-        for line in set.iter_mut() {
-            if line.addr == line_addr {
-                line.rrpv = 0;
-                line.dirty |= write;
-                return AccessResult {
-                    hit: true,
-                    dirty_victim: None,
-                };
-            }
+        if let Some(line) = set.iter_mut().find(|l| l.addr == line_addr) {
+            line.rrpv = 0;
+            line.dirty |= write;
+            return AccessResult {
+                hit: true,
+                dirty_victim: None,
+            };
         }
 
         // Miss: prefer an invalid way; otherwise the SRRIP victim scan
         // from a random starting way.
-        let ways = set.len();
-        let mut victim = None;
-        for (i, line) in set.iter().enumerate() {
-            if line.addr == INVALID {
-                victim = Some(i);
-                break;
-            }
-        }
-        let victim = match victim {
+        let victim = match set.iter().position(|l| l.addr == INVALID) {
             Some(i) => i,
             None => {
                 let start = (shard.rand() % ways as u64) as usize;
-                let set = &mut shard.sets[local];
+                let set = &mut shard.lines[base..base + ways];
                 'outer: loop {
-                    for k in 0..ways {
-                        let i = (start + k) % ways;
+                    // Ways `start, start + 1, ..` wrapping at `ways`.
+                    for i in (start..ways).chain(0..start) {
                         if set[i].rrpv >= RRPV_MAX {
                             break 'outer i;
                         }
@@ -180,10 +214,9 @@ impl CacheSim {
                 }
             }
         };
-        let set = &mut shard.sets[local];
-        let v = set[victim];
-        let dirty_victim = (v.addr != INVALID && v.dirty).then_some(v.addr);
-        set[victim] = Line {
+        let slot = &mut shard.lines[base + victim];
+        let dirty_victim = (slot.addr != INVALID && slot.dirty).then_some(slot.addr);
+        *slot = Line {
             addr: line_addr,
             dirty: write,
             rrpv: RRPV_INSERT,
@@ -196,34 +229,33 @@ impl CacheSim {
 
     /// `clwb` on a line: clean it if dirty, keep it resident.
     pub fn clwb(&self, line_addr: u64) -> ClwbResult {
-        let (shard_i, local) = self.locate(line_addr);
+        let (shard_i, base) = self.locate(line_addr);
         let mut shard = self.shards[shard_i].lock();
-        let set = &mut shard.sets[local];
-        for line in set.iter_mut() {
-            if line.addr == line_addr {
-                return if line.dirty {
-                    line.dirty = false;
-                    ClwbResult::WroteBack
-                } else {
-                    ClwbResult::Clean
-                };
+        let set = &mut shard.lines[base..base + self.ways];
+        match set.iter_mut().find(|l| l.addr == line_addr) {
+            Some(line) if line.dirty => {
+                line.dirty = false;
+                ClwbResult::WroteBack
             }
+            Some(_) => ClwbResult::Clean,
+            None => ClwbResult::Absent,
         }
-        ClwbResult::Absent
     }
 
     /// Whether the line is currently resident (test/diagnostic helper).
     pub fn contains(&self, line_addr: u64) -> bool {
-        let (shard_i, local) = self.locate(line_addr);
+        let (shard_i, base) = self.locate(line_addr);
         let shard = self.shards[shard_i].lock();
-        shard.sets[local].iter().any(|l| l.addr == line_addr)
+        shard.lines[base..base + self.ways]
+            .iter()
+            .any(|l| l.addr == line_addr)
     }
 
     /// Whether the line is resident *and dirty*.
     pub fn is_dirty(&self, line_addr: u64) -> bool {
-        let (shard_i, local) = self.locate(line_addr);
+        let (shard_i, base) = self.locate(line_addr);
         let shard = self.shards[shard_i].lock();
-        shard.sets[local]
+        shard.lines[base..base + self.ways]
             .iter()
             .any(|l| l.addr == line_addr && l.dirty)
     }
@@ -235,29 +267,30 @@ impl CacheSim {
     pub fn drain<F: FnMut(u64)>(&self, mut f: F) {
         for shard in self.shards.iter() {
             let mut shard = shard.lock();
-            for set in shard.sets.iter_mut() {
-                for line in set.iter_mut() {
-                    if line.addr != INVALID && line.dirty {
-                        f(line.addr);
-                    }
-                    line.addr = INVALID;
-                    line.dirty = false;
-                    line.rrpv = RRPV_MAX;
+            for line in shard.lines.iter_mut() {
+                if line.addr != INVALID && line.dirty {
+                    f(line.addr);
                 }
+                line.addr = INVALID;
+                line.dirty = false;
+                line.rrpv = RRPV_MAX;
             }
         }
     }
 
     /// Count of resident dirty lines (diagnostic).
     pub fn dirty_lines(&self) -> usize {
-        let mut n = 0;
-        for shard in self.shards.iter() {
-            let shard = shard.lock();
-            for set in shard.sets.iter() {
-                n += set.iter().filter(|l| l.addr != INVALID && l.dirty).count();
-            }
-        }
-        n
+        self.shards
+            .iter()
+            .map(|shard| {
+                let shard = shard.lock();
+                shard
+                    .lines
+                    .iter()
+                    .filter(|l| l.addr != INVALID && l.dirty)
+                    .count()
+            })
+            .sum()
     }
 
     /// Total line capacity.

@@ -463,31 +463,37 @@ impl PmemDevice {
         let cost = &inner.config.cost;
         let first = addr.line();
         let last = PAddr(addr.0 + len - 1).line();
+        // Counted independently of the hit/miss branches below so the
+        // invariant `accesses == cache_hits + cache_misses` can catch
+        // counter drift (see tests/stats_invariants.rs at the root).
+        ctx.stats.accesses += last - first + 1;
+        // Hits are the common case and their bookkeeping is the same for
+        // every line: count them here and charge them once after the
+        // loop. Nothing inside the loop reads the clock or the hit
+        // counter, so the totals at every observable point are unchanged.
+        let mut hits = 0u64;
         for line in first..=last {
-            // Counted independently of the hit/miss branches below so the
-            // invariant `accesses == cache_hits + cache_misses` can catch
-            // counter drift (see tests/stats_invariants.rs at the root).
-            ctx.stats.accesses += 1;
             let r = inner.cache.access(line, write);
             if r.hit {
-                ctx.stats.cache_hits += 1;
-                ctx.advance(cost.cache_hit);
+                hits += 1;
+                continue;
+            }
+            ctx.stats.cache_misses += 1;
+            // Fill: from the XPBuffer if the block is still buffered,
+            // otherwise from the media.
+            if inner.xpbuffer.contains_block(line / 4) {
+                ctx.stats.fills_from_xpbuffer += 1;
+                ctx.advance(cost.fill_xpbuf_hit);
             } else {
-                ctx.stats.cache_misses += 1;
-                // Fill: from the XPBuffer if the block is still buffered,
-                // otherwise from the media.
-                if inner.xpbuffer.contains_block(line / 4) {
-                    ctx.stats.fills_from_xpbuffer += 1;
-                    ctx.advance(cost.fill_xpbuf_hit);
-                } else {
-                    ctx.stats.media_fill_reads += 1;
-                    ctx.advance(cost.fill_media_read);
-                }
+                ctx.stats.media_fill_reads += 1;
+                ctx.advance(cost.fill_media_read);
             }
             if let Some(victim) = r.dirty_victim {
                 self.writeback_line(victim, WbReason::Evict, ctx);
             }
         }
+        ctx.stats.cache_hits += hits;
+        ctx.advance(cost.cache_hit * hits);
     }
 
     /// A dirty line leaves the cache: copy its bytes to the media image

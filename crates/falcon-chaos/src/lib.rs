@@ -30,28 +30,36 @@
 //! The transaction in flight when the plan trips is the *boundary*
 //! transaction: its commit raced the power cut, so it may surface fully
 //! applied or fully absent — but never partially.
+//!
+//! # The serving spec
+//!
+//! The last spec of the lineup, `falcon-serve`, swaps the random
+//! transaction workload for `falcon_server::sim::run_loop` — the
+//! virtual-clock driver of the `GroupCommitter` that also serves TCP —
+//! and feeds its per-request records into the same oracle. Half of its
+//! cuts are biased into a group-fence event bracket (found by a
+//! same-seed calibration pass), and three serving-only checks ride on
+//! top of the Strict verdict: an ack released before the cut implies a
+//! write committed before the cut (*acked ⇒ durable*), no request ends
+//! in an untyped `Error`, and requests shed at admission leave no
+//! trace. See DESIGN.md §15.
 
 use falcon_core::checkpoint;
 use falcon_core::recovery::recover;
 use falcon_core::table::TableDef;
-use falcon_core::{CcAlgo, Engine, EngineConfig, EngineError, TxnError};
+use falcon_core::{CcAlgo, Engine, EngineConfig, EngineError, RetryPolicy, TxnError};
 use falcon_index::nvm_btree::raise_splitting_flag;
+use falcon_server::proto::{Op, Status, WriteOp, VALUE_BYTES};
+use falcon_server::sim::{run_loop, LoopRun, ReqOutcome, SimSpec};
+use falcon_server::store::{self, row_of, DEVICE_CAPACITY, TABLE, VALUE_OFF as STAMP_OFF};
 use falcon_storage::layout::{index_slot, INDEX_SLOTS};
-use falcon_storage::{Catalog, ColType, Schema};
+use falcon_storage::Catalog;
 use pmem_sim::{BitFlip, FaultPlan, MemCtx, PAddr, PersistDomain, PmemDevice, SimConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 pub use falcon_core::table::IndexKind;
-
-const TABLE: u32 = 0;
-const STAMP_OFF: u32 = 8;
-const ROW_BYTES: usize = 64;
-
-/// Device capacity for chaos databases. Deliberately small: every
-/// iteration forks the device images several times, so image size is
-/// the dominant cost of the fuzzing loop.
-const DEVICE_CAPACITY: u64 = 24 << 20;
 
 /// How strictly the recovered state must match the oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,6 +91,10 @@ pub struct ChaosSpec {
     /// record. Only meaningful for specs whose tiny window and spill cap
     /// keep the checkpoint machinery constantly busy.
     pub ckpt_stress: bool,
+    /// `Some(shape)` makes this the serving spec: the workload is the
+    /// falcon-server serving loop of that shape (seeded per iteration),
+    /// and [`ChaosConfig`]'s `keys`/`extra_keys`/`txns` do not apply.
+    pub serving: Option<SimSpec>,
 }
 
 impl ChaosSpec {
@@ -92,6 +104,9 @@ impl ChaosSpec {
     /// *inside* the fault window — otherwise a 24-key workload never
     /// exercises the split paths the plane exists to crash.
     fn sizing(&self, cfg: &ChaosConfig) -> (u64, u64) {
+        if let Some(shape) = &self.serving {
+            return (shape.preload_keys, shape.key_space - shape.preload_keys);
+        }
         match self.index {
             IndexKind::Hash => (cfg.keys, cfg.extra_keys),
             IndexKind::BTree => (cfg.keys.max(61), cfg.extra_keys.max(16)),
@@ -121,6 +136,7 @@ fn spec(
         index,
         oracle,
         ckpt_stress: false,
+        serving: None,
     }
 }
 
@@ -165,6 +181,29 @@ fn group_spec(index: IndexKind) -> ChaosSpec {
     )
 }
 
+/// Serving spec: the falcon-server engine configuration (Falcon, OCC,
+/// group commit) under the serving loop itself. The shape keeps the
+/// admission cap below the wave volume so sheds occur inside the fault
+/// window and the shed-leaves-no-trace check bites.
+fn serve_spec() -> ChaosSpec {
+    let mut cfg = store::server_engine_config();
+    cfg.name = "falcon-serve";
+    let mut sp = spec(
+        cfg,
+        CcAlgo::Occ,
+        PersistDomain::Eadr,
+        IndexKind::BTree,
+        OracleMode::Strict,
+    );
+    sp.serving = Some(SimSpec {
+        admission_cap: 6,
+        group_max_batch: 4,
+        waves: 4,
+        ..SimSpec::default()
+    });
+    sp
+}
+
 /// The default lineup: Falcon, Inp, and Outp across concurrency-control
 /// algorithms and both persistence domains, each once with the hash
 /// index and once with the B⁺-tree — four specs per engine, so
@@ -181,6 +220,7 @@ fn group_spec(index: IndexKind) -> ChaosSpec {
 /// Two Falcon stress variants ride along per index: the
 /// checkpoint-squeeze spec ([`ckpt_spec`]) and the group-commit spec
 /// ([`group_spec`]), whose commits are never fenced by the workload.
+/// The serving spec ([`serve_spec`]) closes the lineup.
 pub fn lineup() -> Vec<ChaosSpec> {
     use IndexKind::{BTree, Hash};
     use OracleMode::{Relaxed, Strict};
@@ -208,6 +248,7 @@ pub fn lineup() -> Vec<ChaosSpec> {
         // land between the stamp and any fence.
         v.push(group_spec(ix));
     }
+    v.push(serve_spec());
     v
 }
 
@@ -293,6 +334,13 @@ pub struct SpecOutcome {
     /// Checkpoint records recovery classified as corrupt and fell back
     /// from (expected under the bit-rot leg, a violation anywhere else).
     pub ckpt_meta_corrupt: u64,
+    /// Cuts that landed inside a group-fence event bracket (serving
+    /// spec).
+    pub fence_bracket_cuts: u64,
+    /// Write acks released before the cut, summed (serving spec).
+    pub acked_writes: u64,
+    /// Requests shed at admission, summed (serving spec).
+    pub sheds: u64,
     /// Oracle violations (empty on a clean run).
     pub violations: Vec<Violation>,
 }
@@ -307,25 +355,17 @@ fn mix(seed: u64, salt: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-fn key_fn(_s: &Schema, row: &[u8]) -> u64 {
-    u64::from_le_bytes(row[0..8].try_into().unwrap())
-}
-
+/// The serving table's definition (`k:u64 | v:Bytes(56)`, stamp in the
+/// first 8 value bytes) with the spec's primary index structure.
 fn kv_def(index: IndexKind) -> TableDef {
     TableDef {
-        schema: Schema::new("kv", &[("k", ColType::U64), ("v", ColType::Bytes(56))]),
         index_kind: index,
-        capacity_hint: 4096,
-        primary_key: key_fn,
-        secondary: None,
+        ..store::kv_def()
     }
 }
 
 fn row_bytes(k: u64, stamp: u64) -> Vec<u8> {
-    let mut r = vec![0u8; ROW_BYTES];
-    r[0..8].copy_from_slice(&k.to_le_bytes());
-    r[8..16].copy_from_slice(&stamp.to_le_bytes());
-    r
+    row_of(k, &stamp.to_le_bytes())
 }
 
 /// Per-key committed history plus the boundary transaction's writes.
@@ -430,6 +470,96 @@ fn run_workload(
     }
 }
 
+/// The stamp a serving put carries in its first 8 value bytes.
+fn stamp_of(value: &[u8]) -> u64 {
+    u64::from_le_bytes(value[0..8].try_into().unwrap())
+}
+
+/// Final per-key writes of a served request, given its typed status (a
+/// `NotFound` delete changed nothing; an aborted batch left no trace).
+fn writes_of(op: &Op, status: Status) -> Vec<(u64, Option<u64>)> {
+    let write = |w: &WriteOp| match w {
+        WriteOp::Put { key, value } => (*key, Some(stamp_of(value))),
+        WriteOp::Delete { key } => (*key, None),
+    };
+    if status != Status::Ok {
+        return Vec::new();
+    }
+    match op {
+        Op::Put { key, value } => vec![(*key, Some(stamp_of(value)))],
+        Op::Delete { key } => vec![(*key, None)],
+        Op::Batch(ops) => ops.iter().map(write).collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// One seeded run of the falcon-server serving loop of `shape`.
+fn serve(e: &Engine, dev: &PmemDevice, shape: &SimSpec, seed: u64) -> LoopRun {
+    let spec = SimSpec {
+        seed,
+        ..shape.clone()
+    };
+    run_loop(e, dev, &spec, &RetryPolicy::server())
+}
+
+/// Serving workload: run the falcon-server serving loop of `shape`
+/// under the installed fault plan and fold its per-request records into
+/// the oracle. The serving-only checks on the records themselves —
+/// acked ⇒ committed before the trip, no untyped `Error` — land in
+/// `r.problems`. Returns every stamp a request shed at admission would
+/// have written: stamps are unique per request, so none may appear in
+/// the recovered state. Deterministic in `(engine state, seed)`, like
+/// [`run_workload`].
+fn serve_workload(
+    e: &Engine,
+    dev: &PmemDevice,
+    shape: &SimSpec,
+    seed: u64,
+    oracle: &mut Oracle,
+    r: &mut IterResult,
+) -> BTreeSet<u64> {
+    let run = serve(e, dev, shape, seed);
+    let mut shed_stamps = BTreeSet::new();
+    for (i, req) in run.records.iter().enumerate() {
+        match &req.outcome {
+            ReqOutcome::Shed => {
+                r.sheds += 1;
+                let stamps = writes_of(&req.op, Status::Ok);
+                shed_stamps.extend(stamps.iter().filter_map(|&(_, s)| s));
+            }
+            ReqOutcome::Done {
+                status,
+                acked,
+                committed_pre_trip,
+                boundary,
+                wrote,
+                ..
+            } => {
+                if *wrote && *acked {
+                    r.acked_writes += 1;
+                    if !committed_pre_trip {
+                        r.problems.push(format!(
+                            "request {i}: ack released for a write that did not \
+                             commit before the cut"
+                        ));
+                    }
+                }
+                if *status == Status::Error {
+                    r.problems
+                        .push(format!("request {i}: untyped engine error"));
+                }
+                if *committed_pre_trip {
+                    oracle.commit(&writes_of(&req.op, *status));
+                } else if *boundary {
+                    oracle.set_boundary(&writes_of(&req.op, *status));
+                }
+                // Post-trip commits leave no durable trace; ignored.
+            }
+        }
+    }
+    shed_stamps
+}
+
 /// Read every key's recovered state (`None` = absent). `Err` carries a
 /// structural problem (key field mismatch, unexpected read error).
 fn dump_states(e: &Engine, total: u64) -> Result<Vec<Option<u64>>, String> {
@@ -525,6 +655,7 @@ fn make_base(sp: &ChaosSpec, cfg: &ChaosConfig) -> PmemDevice {
     dev
 }
 
+#[derive(Default)]
 struct IterResult {
     events: u64,
     tripped: bool,
@@ -541,6 +672,8 @@ struct IterResult {
     ckpt_recrash_checked: bool,
     ckpt_bitrot_checked: bool,
     ckpt_meta_corrupt: u64,
+    acked_writes: u64,
+    sheds: u64,
     problems: Vec<String>,
 }
 
@@ -558,24 +691,7 @@ fn run_iteration(
     let defs = [kv_def(sp.index)];
     let (keys, extra) = sp.sizing(cfg);
     let total = keys + extra;
-    let mut r = IterResult {
-        events: 0,
-        tripped: false,
-        torn: 0,
-        corrupt: 0,
-        salvaged: 0,
-        repairs: 0,
-        recrash_checked: false,
-        scan_checked: false,
-        split_recrash_checked: false,
-        bitrot_checked: false,
-        ckpt_crash_checked: false,
-        ckpt_trunc_checked: false,
-        ckpt_recrash_checked: false,
-        ckpt_bitrot_checked: false,
-        ckpt_meta_corrupt: 0,
-        problems: Vec::new(),
-    };
+    let mut r = IterResult::default();
     let d = base.fork();
     d.install_fault_plan(match cut {
         Some(c) => FaultPlan::cut(seed, c),
@@ -592,7 +708,13 @@ fn run_iteration(
         }
     };
     let mut oracle = Oracle::new(keys, total);
-    run_workload(&e, &d, seed, cfg, total, &mut oracle);
+    let shed_stamps = match &sp.serving {
+        Some(shape) => serve_workload(&e, &d, shape, seed, &mut oracle, &mut r),
+        None => {
+            run_workload(&e, &d, seed, cfg, total, &mut oracle);
+            BTreeSet::new()
+        }
+    };
     drop(e);
     d.crash();
     let outcome = d.fault_outcome().expect("plan consumed");
@@ -625,6 +747,14 @@ fn run_iteration(
             match dump_states(&e2, total) {
                 Ok(got) => {
                     r.problems.extend(verify(&got, &oracle, sp.oracle));
+                    for (k, g) in got.iter().enumerate() {
+                        if let Some(s) = g.filter(|s| shed_stamps.contains(s)) {
+                            r.problems.push(format!(
+                                "key {k}: recovered stamp {s} belongs to a request \
+                                 shed at admission"
+                            ));
+                        }
+                    }
                     if btree {
                         scan_leg(&e2, &got, seed, &mut r.problems);
                         r.scan_checked = true;
@@ -993,7 +1123,7 @@ fn churn_and_checkpoint(
         .map_err(|err| format!("churn worker: {err:?}"))?;
     let mut rng = StdRng::seed_from_u64(mix(seed, 0xC4A1));
     let mut stamp = CHURN_STAMP_BASE;
-    let mut val = [0u8; ROW_BYTES - STAMP_OFF as usize];
+    let mut val = [0u8; VALUE_BYTES];
     for i in 0..CHURN_TXNS {
         let tripped_before = d.fault_tripped();
         let mut t = e.begin(&mut w, false);
@@ -1300,6 +1430,30 @@ fn ckpt_bitrot_leg(
     true
 }
 
+/// Cut choice for the serving spec: a same-seed calibration pass counts
+/// the run's device events and records the event bracket of every
+/// group fence; half the cuts are then uniform over the run and half
+/// land inside a random bracket — the window between a batch's commit
+/// stamps and the fence that releases its acks. Returns the cut and
+/// whether it is inside a bracket.
+fn serving_cut(sp: &ChaosSpec, shape: &SimSpec, base: &PmemDevice, seed: u64) -> (u64, bool) {
+    let cal = base.fork();
+    cal.install_fault_plan(FaultPlan::calibrate());
+    let (e, _) = recover(cal.clone(), sp.cfg.clone(), &[kv_def(sp.index)])
+        .expect("the clean base image recovers");
+    let brackets = serve(&e, &cal, shape, seed).fence_brackets;
+    let events = cal.fault_events().max(1);
+    let mut rng = StdRng::seed_from_u64(mix(seed, 0x00F0_0C75));
+    let cut = if !brackets.is_empty() && rng.random_range(0..2u32) == 0 {
+        let (b0, b1) = brackets[rng.random_range(0..brackets.len() as u64) as usize];
+        b0 + rng.random_range(0..b1 - b0)
+    } else {
+        rng.random_range(0..events)
+    };
+    let in_bracket = brackets.iter().any(|&(b0, b1)| (b0..b1).contains(&cut));
+    (cut, in_bracket)
+}
+
 /// Fuzz one spec for `cfg.iterations` iterations.
 pub fn run_spec(sp: &ChaosSpec, cfg: &ChaosConfig) -> SpecOutcome {
     let base = make_base(sp, cfg);
@@ -1310,10 +1464,17 @@ pub fn run_spec(sp: &ChaosSpec, cfg: &ChaosConfig) -> SpecOutcome {
     let mut est_events: Option<u64> = None;
     for i in 0..cfg.iterations {
         let seed = mix(cfg.seed, i);
-        let cut = est_events.map(|e| {
-            let mut rng = StdRng::seed_from_u64(mix(seed, 0xC07));
-            rng.random_range(0..e.max(1))
-        });
+        let cut = match &sp.serving {
+            Some(shape) => {
+                let (cut, in_bracket) = serving_cut(sp, shape, &base, seed);
+                out.fence_bracket_cuts += u64::from(in_bracket);
+                Some(cut)
+            }
+            None => est_events.map(|e| {
+                let mut rng = StdRng::seed_from_u64(mix(seed, 0xC07));
+                rng.random_range(0..e.max(1))
+            }),
+        };
         let legs = cfg.legs_every != 0 && i % cfg.legs_every == cfg.legs_every - 1;
         let r = run_iteration(sp, cfg, &base, seed, cut, legs);
         est_events = Some(r.events.max(1));
@@ -1332,6 +1493,8 @@ pub fn run_spec(sp: &ChaosSpec, cfg: &ChaosConfig) -> SpecOutcome {
         out.ckpt_recrash_checks += u64::from(r.ckpt_recrash_checked);
         out.ckpt_bitrot_checks += u64::from(r.ckpt_bitrot_checked);
         out.ckpt_meta_corrupt += r.ckpt_meta_corrupt;
+        out.acked_writes += r.acked_writes;
+        out.sheds += r.sheds;
         for detail in r.problems {
             out.violations.push(Violation {
                 spec: sp.label.clone(),

@@ -8,9 +8,12 @@
 //!
 //! Fuzzes every lineup spec (or those whose label contains `SUBSTR`,
 //! further narrowed to one index structure by `--index`) for `N` seeded
-//! crash-recover-verify iterations each. On any oracle violation the
-//! exact `(spec, seed, cut)` tuple is printed together with a
-//! ready-to-paste `--repro` invocation, and the process exits 1.
+//! crash-recover-verify iterations each. `--keys`/`--txns` size the
+//! random-transaction workload of the engine specs; the `falcon-serve`
+//! spec's workload is the falcon-server serving loop and ignores them.
+//! On any oracle violation the exact `(spec, seed, cut)` tuple is
+//! printed together with a ready-to-paste `--repro` invocation, and the
+//! process exits 1.
 
 use falcon_chaos::{lineup, replay, run_spec, ChaosConfig, IndexKind, SpecOutcome};
 
@@ -104,7 +107,7 @@ fn main() {
             + out.ckpt_trunc_checks
             + out.ckpt_recrash_checks
             + out.ckpt_bitrot_checks;
-        let ckpt = if ckpt_legs > 0 {
+        let extra = if ckpt_legs > 0 {
             format!(
                 "  ckpt(publish/trunc/recrash/rot) {}/{}/{}/{} ({} meta-corrupt)",
                 out.ckpt_crash_checks,
@@ -113,13 +116,18 @@ fn main() {
                 out.ckpt_bitrot_checks,
                 out.ckpt_meta_corrupt,
             )
+        } else if out.acked_writes + out.sheds > 0 {
+            format!(
+                "  serve(fence-cuts/acked/sheds) {}/{}/{}",
+                out.fence_bracket_cuts, out.acked_writes, out.sheds,
+            )
         } else {
             String::new()
         };
         println!(
             "{:<26} {:>4} iters  {:>4} tripped  torn {:>3}  corrupt {:>3}  \
              salvaged {:>3}  repairs {:>3}  recrash {:>2}  scans {:>3}  \
-             split-recrash {:>2}  bitrot {:>2}{ckpt}  violations {}",
+             split-recrash {:>2}  bitrot {:>2}{extra}  violations {}",
             out.label,
             out.iterations,
             out.tripped,

@@ -9,19 +9,15 @@
 //! * `--netfaults` — seeded sweep of misbehaving clients (reset
 //!   mid-request, partial-write stall, slow-loris, vanish mid-batch)
 //!   with a health probe after each.
-//! * `--crash` — seeded power cuts inside the group-commit fence
-//!   bracket with multiple connections in flight, verified against
-//!   the acked-implies-durable / unacked-implies-atomic oracle.
 //!
-//! `--iterations N` sizes the crash sweep, `--rounds N` the net-fault
-//! sweep, `--seed HEX` both. Any violation prints its reproduction
-//! coordinates and exits 1. If loopback TCP is unavailable in the
-//! sandbox the TCP legs SKIP visibly (the crash leg never needs a
-//! socket).
+//! `--rounds N` sizes the net-fault sweep, `--seed HEX` seeds every
+//! leg. Any violation prints its reproduction coordinates and exits 1.
+//! If loopback TCP is unavailable in the sandbox the legs SKIP visibly.
+//! The power-cut oracle for the serving loop is the `falcon-serve` spec
+//! of `falcon-chaos`.
 
 use falcon_server::netfault;
 use falcon_server::proto::{Op, Status, WriteOp};
-use falcon_server::sim::{crash_oracle, CrashConfig};
 use falcon_server::{client::Client, serve, ServerConfig};
 use std::io;
 use std::process::ExitCode;
@@ -30,8 +26,6 @@ struct Args {
     smoke: bool,
     overload: bool,
     netfaults: bool,
-    crash: bool,
-    iterations: u64,
     rounds: u64,
     seed: u64,
 }
@@ -41,8 +35,6 @@ fn parse() -> Result<Args, String> {
         smoke: false,
         overload: false,
         netfaults: false,
-        crash: false,
-        iterations: 200,
         rounds: 12,
         seed: 0x4E7C_4A05,
     };
@@ -53,18 +45,15 @@ fn parse() -> Result<Args, String> {
             "--smoke" => a.smoke = true,
             "--overload" => a.overload = true,
             "--netfaults" => a.netfaults = true,
-            "--crash" => a.crash = true,
-            "--iterations" => a.iterations = num(&val("--iterations")?)?,
             "--rounds" => a.rounds = num(&val("--rounds")?)?,
             "--seed" => a.seed = num(&val("--seed")?)?,
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if !(a.smoke || a.overload || a.netfaults || a.crash) {
+    if !(a.smoke || a.overload || a.netfaults) {
         a.smoke = true;
         a.overload = true;
         a.netfaults = true;
-        a.crash = true;
     }
     Ok(a)
 }
@@ -271,32 +260,6 @@ fn netfault_leg(seed: u64, rounds: u64) -> Result<(), String> {
     Ok(())
 }
 
-fn crash_leg(seed: u64, iterations: u64) -> Result<(), String> {
-    let cfg = CrashConfig {
-        iterations,
-        seed,
-        ..CrashConfig::default()
-    };
-    let rep = crash_oracle(&cfg)?;
-    if !rep.violations.is_empty() {
-        let v = &rep.violations[0];
-        return Err(format!(
-            "crash oracle: {} violation(s); first: iter {} seed 0x{:X} cut {}: {}",
-            rep.violations.len(),
-            v.iter,
-            v.seed,
-            v.cut,
-            v.detail
-        ));
-    }
-    println!(
-        "crash: OK ({} iterations, {} tripped, {} cuts inside fence brackets, \
-         {} acked writes, {} sheds, 0 violations)",
-        rep.iterations, rep.tripped, rep.fence_bracket_cuts, rep.acked_writes, rep.sheds
-    );
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let a = match parse() {
         Ok(a) => a,
@@ -309,7 +272,6 @@ fn main() -> ExitCode {
         ("smoke", a.smoke),
         ("overload", a.overload),
         ("netfaults", a.netfaults),
-        ("crash", a.crash),
     ];
     for (name, enabled) in legs {
         if !enabled {
@@ -318,8 +280,7 @@ fn main() -> ExitCode {
         let result = match name {
             "smoke" => smoke_leg(a.seed),
             "overload" => overload_leg(a.seed),
-            "netfaults" => netfault_leg(a.seed, a.rounds),
-            _ => crash_leg(a.seed, a.iterations),
+            _ => netfault_leg(a.seed, a.rounds),
         };
         if let Err(e) = result {
             eprintln!("falcon_net_chaos: {name}: {e}");

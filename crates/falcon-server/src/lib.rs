@@ -23,19 +23,24 @@
 //! * **Graceful drain** — on `DRAIN` the server stops accepting,
 //!   flushes the group-commit queue, checkpoints, and exits cleanly.
 //!
-//! The [`sim`] module runs the same execution core under a virtual
-//! clock for bit-identical benchmarking, and drives the crash oracle:
+//! One sans-I/O state machine, [`commit::GroupCommitter`], executes
+//! every request and decides every fence; the TCP server's engine
+//! thread and the [`sim`] module's virtual-clock loop are both thin
+//! drivers around it. The simulator gives bit-identical benchmark
+//! numbers and is the workload of falcon-chaos's `falcon-serve` spec:
 //! power cut inside the group-commit fence bracket, recover, and check
 //! that every acked transaction survived and every unacked one is
-//! all-or-nothing. The [`netfault`] module injects seeded client-side
-//! network misbehaviour (connection reset mid-request, partial write
-//! then stall, slow-loris trickle, vanish mid-batch) against the live
-//! server. See DESIGN.md §15.
+//! all-or-nothing — proven for the object that serves TCP. The
+//! [`netfault`] module injects seeded client-side network misbehaviour
+//! (connection reset mid-request, partial write then stall, slow-loris
+//! trickle, vanish mid-batch) against the live server. See DESIGN.md
+//! §15.
 //!
 //! [`EngineConfig::group_commit`]: falcon_core::EngineConfig
 //! [`RetryPolicy`]: falcon_core::RetryPolicy
 
 pub mod client;
+pub mod commit;
 pub mod config;
 pub mod netfault;
 pub mod proto;
@@ -43,5 +48,6 @@ pub mod server;
 pub mod sim;
 pub mod store;
 
+pub use commit::DrainReport;
 pub use config::ServerConfig;
-pub use server::{serve, DrainReport, ServerHandle};
+pub use server::{serve, ServerHandle};

@@ -3,9 +3,10 @@
 //! admission queue in group-commit batches.
 //!
 //! Threading model: one listener (accepts, spawns connections), one
-//! engine thread (owns the [`Engine`] and worker 0, executes every
-//! transaction, fences group batches, releases write acks only after
-//! the fence), and per connection a reader (frame parsing, admission,
+//! engine thread (feeds the [`GroupCommitter`] — which owns the engine
+//! and worker 0, executes every transaction, fences group batches and
+//! releases write acks only after the fence — from the admission
+//! queue), and per connection a reader (frame parsing, admission,
 //! typed sheds) plus a writer (response frames, in-flight window
 //! release). All queues are bounded: the admission queue at
 //! `admission_cap` (overflow sheds `Overloaded`), the per-connection
@@ -15,16 +16,17 @@
 //! Shutdown: a `DRAIN` request (or [`ServerHandle::shutdown`]) flips
 //! the drain flag. The listener stops accepting, readers answer any
 //! still-pipelined requests with `ShuttingDown` and wind down, and
-//! once every submitter is gone the engine thread flushes the last
-//! group batch, checkpoints, and reports an empty queue.
+//! once every submitter is gone the engine thread drains the
+//! committer: last group batch flushed, checkpoint, empty queue.
 
+use crate::commit::{CommitSink, DrainReport, GroupCommitter};
 use crate::config::ServerConfig;
 use crate::proto::{
     self, decode_request, encode_response, Op, Request, Response, Status, MAX_FRAME,
 };
-use crate::store::{apply_op, create_engine};
+use crate::store::{create_engine, OpResult};
 use falcon_core::retry::mix64;
-use falcon_core::{Engine, RetryPolicy};
+use falcon_core::Engine;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -33,8 +35,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Monotonic counters the server maintains; always compiled (the obs
-/// feature only adds the conversion into a structured report block).
+/// Monotonic counters the server maintains.
 #[derive(Debug, Default)]
 pub struct ServerCounters {
     /// Requests admitted to the engine queue.
@@ -104,42 +105,6 @@ pub struct CounterSnapshot {
     pub batches: u64,
     pub batch_txns: u64,
     pub batch_peak: u64,
-}
-
-#[cfg(feature = "obs")]
-impl CounterSnapshot {
-    /// Convert into the schema-v6 report block.
-    #[must_use]
-    pub fn to_stats(&self) -> falcon_obs::ServerStats {
-        falcon_obs::ServerStats {
-            admitted: self.admitted,
-            shed_overloaded: self.shed_overloaded,
-            shed_shutting_down: self.shed_shutting_down,
-            bad_requests: self.bad_requests,
-            timeouts: self.timeouts,
-            conns_opened: self.conns_opened,
-            conns_closed: self.conns_closed,
-            retries: self.retries,
-            retries_exhausted: self.retries_exhausted,
-            batches: self.batches,
-            batch_txns: self.batch_txns,
-            batch_peak: self.batch_peak,
-        }
-    }
-}
-
-/// What the engine thread reports after draining.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DrainReport {
-    /// The group-commit queue was empty at exit (always true on a
-    /// clean drain: the final fence runs before the checkpoint).
-    pub group_queue_empty: bool,
-    /// Write transactions committed over the server's lifetime.
-    pub committed: u64,
-    /// Group fences issued.
-    pub fences: u64,
-    /// A final checkpoint was published before exit.
-    pub checkpointed: bool,
 }
 
 /// Per-connection in-flight window: the reader blocks once
@@ -260,31 +225,40 @@ impl ServerHandle {
 }
 
 /// Start the server. Returns once the listener is bound; everything
-/// else runs on background threads.
+/// else runs on background threads. Every startup failure — bad knobs,
+/// engine creation, worker acquisition, bind — is an `io::Error` here,
+/// before any thread exists.
 pub fn serve(cfg: ServerConfig) -> io::Result<ServerHandle> {
     cfg.validate()
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     let (_dev, engine) = create_engine(cfg.preload_keys).map_err(io::Error::other)?;
+    let counters = Arc::new(ServerCounters::default());
+    let committer = GroupCommitter::new(
+        engine,
+        cfg.retry,
+        cfg.group_max_batch,
+        ChannelSink {
+            counters: Arc::clone(&counters),
+        },
+    )
+    .map_err(io::Error::other)?;
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
 
-    let counters = Arc::new(ServerCounters::default());
     let draining = Arc::new(AtomicBool::new(false));
     let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
     let (tx, rx) = mpsc::sync_channel::<Job>(cfg.admission_cap);
 
     let engine_jh = {
-        let counters = Arc::clone(&counters);
         let cfg = cfg.clone();
-        thread::spawn(move || engine_thread(&engine, &rx, &cfg, &counters))
+        thread::spawn(move || engine_thread(committer, &rx, &cfg))
     };
 
     let listener_jh = {
         let counters = Arc::clone(&counters);
         let draining = Arc::clone(&draining);
         let conns = Arc::clone(&conns);
-        let cfg = cfg.clone();
         thread::spawn(move || {
             listener_thread(&listener, &tx, &cfg, &counters, &draining, &conns);
         })
@@ -320,7 +294,7 @@ fn listener_thread(
                 let conn_id = next_conn;
                 next_conn += 1;
                 let jh = thread::spawn(move || {
-                    connection(stream, &tx, &cfg, &counters, &draining, conn_id);
+                    connection(stream, tx, &cfg, &counters, draining, conn_id);
                     counters.add(&counters.conns_closed);
                 });
                 conns.lock().expect("conns").push(jh);
@@ -335,14 +309,28 @@ fn listener_thread(
     // clone is gone the engine thread sees Disconnected and drains.
 }
 
+/// Everything one connection's reader needs to admit a frame.
+struct Conn {
+    tx: SyncSender<Job>,
+    counters: Arc<ServerCounters>,
+    draining: Arc<AtomicBool>,
+    window: Arc<Window>,
+    dead: Arc<AtomicBool>,
+    wtx: Sender<Response>,
+    /// `cfg.seed` mixed with the connection id; request seeds derive
+    /// from it by request number.
+    seed: u64,
+    idle: Duration,
+}
+
 /// Run one connection: spawn the writer, then read/admit frames until
 /// EOF, reaping, or drain.
 fn connection(
     stream: TcpStream,
-    tx: &SyncSender<Job>,
+    tx: SyncSender<Job>,
     cfg: &ServerConfig,
     counters: &Arc<ServerCounters>,
-    draining: &Arc<AtomicBool>,
+    draining: Arc<AtomicBool>,
     conn_id: u64,
 ) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(cfg.read_timeout_ms)));
@@ -358,11 +346,20 @@ fn connection(
         let dead = Arc::clone(&dead);
         thread::spawn(move || writer_thread(wstream, &wrx, &window, &dead))
     };
-    reader_loop(
-        stream, tx, cfg, counters, draining, conn_id, &window, &dead, &wtx,
-    );
-    dead.store(true, Ordering::Relaxed);
-    drop(wtx);
+    let conn = Conn {
+        tx,
+        counters: Arc::clone(counters),
+        draining,
+        window,
+        dead,
+        wtx,
+        seed: cfg.seed ^ mix64(conn_id),
+        idle: Duration::from_millis(cfg.idle_timeout_ms),
+    };
+    conn.reader_loop(stream);
+    conn.dead.store(true, Ordering::Relaxed);
+    // Closes the writer's channel once the in-flight replies are out.
+    drop(conn);
     let _ = writer.join();
 }
 
@@ -390,85 +387,6 @@ fn writer_thread(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn reader_loop(
-    mut stream: TcpStream,
-    tx: &SyncSender<Job>,
-    cfg: &ServerConfig,
-    counters: &Arc<ServerCounters>,
-    draining: &Arc<AtomicBool>,
-    conn_id: u64,
-    window: &Arc<Window>,
-    dead: &Arc<AtomicBool>,
-    wtx: &Sender<Response>,
-) {
-    let idle = Duration::from_millis(cfg.idle_timeout_ms);
-    let mut acc: Vec<u8> = Vec::new();
-    let mut scratch = [0u8; 4096];
-    let mut last_progress = Instant::now();
-    let mut next_req = 0u64;
-    loop {
-        if dead.load(Ordering::Relaxed) {
-            return;
-        }
-        match stream.read(&mut scratch) {
-            Ok(0) => {
-                if !acc.is_empty() {
-                    // Connection reset mid-frame.
-                    counters.add(&counters.bad_requests);
-                }
-                return;
-            }
-            Ok(n) => {
-                acc.extend_from_slice(&scratch[..n]);
-                last_progress = Instant::now();
-                loop {
-                    match take_frame(&mut acc) {
-                        FrameState::Need => break,
-                        FrameState::Oversize => {
-                            counters.add(&counters.bad_requests);
-                            respond(
-                                window,
-                                dead,
-                                wtx,
-                                Response {
-                                    id: 0,
-                                    status: Status::BadRequest,
-                                    payload: Vec::new(),
-                                },
-                            );
-                            return;
-                        }
-                        FrameState::Frame(body) => {
-                            let seed = mix64(cfg.seed ^ mix64(conn_id) ^ mix64(next_req));
-                            next_req += 1;
-                            if !handle_frame(
-                                &body, tx, cfg, counters, draining, window, dead, wtx, seed,
-                            ) {
-                                return;
-                            }
-                        }
-                    }
-                }
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if last_progress.elapsed() >= idle {
-                    counters.add(&counters.timeouts);
-                    return;
-                }
-                if draining.load(Ordering::SeqCst) {
-                    // Drain grace expired with no new frame: wind down.
-                    return;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
-}
-
 enum FrameState {
     Need,
     Oversize,
@@ -492,163 +410,191 @@ fn take_frame(acc: &mut Vec<u8>) -> FrameState {
     FrameState::Frame(body)
 }
 
-/// Send a response through the writer, honouring the in-flight window.
-fn respond(window: &Window, dead: &AtomicBool, wtx: &Sender<Response>, resp: Response) -> bool {
-    if !window.acquire(dead) {
-        return false;
-    }
-    if wtx.send(resp).is_err() {
-        window.release();
-        return false;
-    }
-    true
-}
-
-/// Admit one decoded frame; returns false when the connection should
-/// close.
-#[allow(clippy::too_many_arguments)]
-fn handle_frame(
-    body: &[u8],
-    tx: &SyncSender<Job>,
-    _cfg: &ServerConfig,
-    counters: &Arc<ServerCounters>,
-    draining: &Arc<AtomicBool>,
-    window: &Arc<Window>,
-    dead: &Arc<AtomicBool>,
-    wtx: &Sender<Response>,
-    seed: u64,
-) -> bool {
-    let req = match decode_request(body) {
-        Ok(r) => r,
-        Err(_) => {
-            counters.add(&counters.bad_requests);
-            // Echo the id when the prefix survived decoding.
-            let id = if body.len() >= 8 {
-                u64::from_le_bytes(body[0..8].try_into().unwrap())
-            } else {
-                0
-            };
-            return respond(
-                window,
-                dead,
-                wtx,
-                Response {
-                    id,
-                    status: Status::BadRequest,
-                    payload: Vec::new(),
-                },
-            );
-        }
-    };
-    if matches!(req.op, Op::Drain) {
-        draining.store(true, Ordering::SeqCst);
-        return respond(
-            window,
-            dead,
-            wtx,
-            Response {
-                id: req.id,
-                status: Status::Ok,
-                payload: Vec::new(),
-            },
-        );
-    }
-    if draining.load(Ordering::SeqCst) {
-        counters.add(&counters.shed_shutting_down);
-        return respond(
-            window,
-            dead,
-            wtx,
-            Response {
-                id: req.id,
-                status: Status::ShuttingDown,
-                payload: Vec::new(),
-            },
-        );
-    }
-    let id = req.id;
-    if !window.acquire(dead) {
-        return false;
-    }
-    match tx.try_send(Job {
-        req,
-        reply: wtx.clone(),
-        seed,
-    }) {
-        Ok(()) => {
-            counters.add(&counters.admitted);
-            true
-        }
-        Err(TrySendError::Full(_)) => {
-            // Typed shed, never a silent drop: the slot acquired above
-            // is consumed by the Overloaded response itself.
-            counters.add(&counters.shed_overloaded);
-            if wtx
-                .send(Response {
-                    id,
-                    status: Status::Overloaded,
-                    payload: Vec::new(),
-                })
-                .is_err()
-            {
-                window.release();
-                return false;
+impl Conn {
+    fn reader_loop(&self, mut stream: TcpStream) {
+        let counters = &self.counters;
+        let mut acc: Vec<u8> = Vec::new();
+        let mut scratch = [0u8; 4096];
+        let mut last_progress = Instant::now();
+        let mut next_req = 0u64;
+        loop {
+            if self.dead.load(Ordering::Relaxed) {
+                return;
             }
-            true
+            match stream.read(&mut scratch) {
+                Ok(0) => {
+                    if !acc.is_empty() {
+                        // Connection reset mid-frame.
+                        counters.add(&counters.bad_requests);
+                    }
+                    return;
+                }
+                Ok(n) => {
+                    acc.extend_from_slice(&scratch[..n]);
+                    last_progress = Instant::now();
+                    loop {
+                        match take_frame(&mut acc) {
+                            FrameState::Need => break,
+                            FrameState::Oversize => {
+                                counters.add(&counters.bad_requests);
+                                self.respond(0, Status::BadRequest);
+                                return;
+                            }
+                            FrameState::Frame(body) => {
+                                let seed = mix64(self.seed ^ mix64(next_req));
+                                next_req += 1;
+                                if !self.handle_frame(&body, seed) {
+                                    return;
+                                }
+                            }
+                        }
+                    }
+                }
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    if last_progress.elapsed() >= self.idle {
+                        counters.add(&counters.timeouts);
+                        return;
+                    }
+                    if self.draining.load(Ordering::SeqCst) {
+                        // Drain grace expired with no new frame: wind down.
+                        return;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return,
+            }
         }
-        Err(TrySendError::Disconnected(_)) => {
+    }
+
+    /// Send an empty-payload response through the writer, honouring
+    /// the in-flight window.
+    fn respond(&self, id: u64, status: Status) -> bool {
+        if !self.window.acquire(&self.dead) {
+            return false;
+        }
+        if self.wtx.send(empty(id, status)).is_err() {
+            self.window.release();
+            return false;
+        }
+        true
+    }
+
+    /// Admit one decoded frame; returns false when the connection
+    /// should close.
+    fn handle_frame(&self, body: &[u8], seed: u64) -> bool {
+        let counters = &self.counters;
+        let req = match decode_request(body) {
+            Ok(r) => r,
+            Err(_) => {
+                counters.add(&counters.bad_requests);
+                // Echo the id when the prefix survived decoding.
+                let id = if body.len() >= 8 {
+                    u64::from_le_bytes(body[0..8].try_into().unwrap())
+                } else {
+                    0
+                };
+                return self.respond(id, Status::BadRequest);
+            }
+        };
+        if matches!(req.op, Op::Drain) {
+            self.draining.store(true, Ordering::SeqCst);
+            return self.respond(req.id, Status::Ok);
+        }
+        if self.draining.load(Ordering::SeqCst) {
             counters.add(&counters.shed_shutting_down);
-            if wtx
-                .send(Response {
-                    id,
-                    status: Status::ShuttingDown,
-                    payload: Vec::new(),
-                })
-                .is_err()
-            {
-                window.release();
+            return self.respond(req.id, Status::ShuttingDown);
+        }
+        let id = req.id;
+        if !self.window.acquire(&self.dead) {
+            return false;
+        }
+        match self.tx.try_send(Job {
+            req,
+            reply: self.wtx.clone(),
+            seed,
+        }) {
+            Ok(()) => {
+                counters.add(&counters.admitted);
+                true
             }
-            false
+            Err(TrySendError::Full(_)) => {
+                // Typed shed, never a silent drop: the slot acquired above
+                // is consumed by the Overloaded response itself.
+                counters.add(&counters.shed_overloaded);
+                if self.wtx.send(empty(id, Status::Overloaded)).is_err() {
+                    self.window.release();
+                    return false;
+                }
+                true
+            }
+            Err(TrySendError::Disconnected(_)) => {
+                counters.add(&counters.shed_shutting_down);
+                if self.wtx.send(empty(id, Status::ShuttingDown)).is_err() {
+                    self.window.release();
+                }
+                false
+            }
         }
     }
 }
 
-/// The engine thread: executes every admitted request on worker 0,
-/// fences group batches (size or hold-time bound), and releases write
-/// acks only after the fence.
+fn empty(id: u64, status: Status) -> Response {
+    Response {
+        id,
+        status,
+        payload: Vec::new(),
+    }
+}
+
+/// The server's [`CommitSink`]: acks go down the submitting
+/// connection's writer channel, fences and retries into the counters.
+struct ChannelSink {
+    counters: Arc<ServerCounters>,
+}
+
+impl CommitSink for ChannelSink {
+    type Ack = Sender<Response>;
+
+    fn executed(&mut self, _ack: &Sender<Response>, res: &OpResult) {
+        let c = &self.counters;
+        c.retries.fetch_add(res.retries, Ordering::Relaxed);
+        if res.status == Status::RetryExhausted {
+            c.add(&c.retries_exhausted);
+        }
+    }
+
+    fn fence_begin(&mut self) {}
+
+    fn fence_end(&mut self, txns: u64) {
+        let c = &self.counters;
+        c.add(&c.batches);
+        c.batch_txns.fetch_add(txns, Ordering::Relaxed);
+        c.batch_peak.fetch_max(txns, Ordering::Relaxed);
+    }
+
+    fn release(&mut self, ack: Sender<Response>, resp: Response, _virt_ns: u64) {
+        // A vanished connection cannot receive its ack; the
+        // transaction is still durable.
+        let _ = ack.send(resp);
+    }
+}
+
+/// The engine thread: feed the committer from the admission queue. An
+/// arrival is a `submit`, a queue that stayed empty for the hold time
+/// (or the idle tick) is a `flush`, and the last submitter leaving is
+/// the `drain`.
 fn engine_thread(
-    e: &Engine,
+    mut committer: GroupCommitter<Engine, ChannelSink>,
     rx: &Receiver<Job>,
     cfg: &ServerConfig,
-    counters: &ServerCounters,
 ) -> DrainReport {
-    let mut w = e.worker(0).expect("engine worker 0");
-    let policy: RetryPolicy = cfg.retry;
     let hold = Duration::from_micros(cfg.group_hold_us);
     let idle = Duration::from_millis(5);
-    let mut pending: Vec<(Sender<Response>, Response)> = Vec::new();
-    let mut committed = 0u64;
-    let mut fences = 0u64;
-
-    let fence_and_release = |w: &mut falcon_core::Worker,
-                             pending: &mut Vec<(Sender<Response>, Response)>,
-                             fences: &mut u64| {
-        let n = e.group_fence(w);
-        if n > 0 {
-            *fences += 1;
-            counters.add(&counters.batches);
-            counters.batch_txns.fetch_add(n, Ordering::Relaxed);
-            counters.batch_peak.fetch_max(n, Ordering::Relaxed);
-        }
-        for (reply, resp) in pending.drain(..) {
-            // A vanished connection cannot receive its ack; the
-            // transaction is still durable.
-            let _ = reply.send(resp);
-        }
-    };
-
     loop {
-        let wait = if e.group_pending(&w) > 0 { hold } else { idle };
+        let wait = if committer.pending() > 0 { hold } else { idle };
         match rx.recv_timeout(wait) {
             Ok(job) => {
                 if cfg.engine_slowdown_us > 0 {
@@ -656,47 +602,10 @@ fn engine_thread(
                     // so the admission queue actually fills.
                     thread::sleep(Duration::from_micros(cfg.engine_slowdown_us));
                 }
-                let res = apply_op(e, &mut w, &job.req.op, &policy, job.seed);
-                counters.retries.fetch_add(res.retries, Ordering::Relaxed);
-                if res.status == Status::RetryExhausted {
-                    counters.add(&counters.retries_exhausted);
-                }
-                if res.wrote {
-                    committed += 1;
-                }
-                let resp = Response {
-                    id: job.req.id,
-                    status: res.status,
-                    payload: res.payload,
-                };
-                if res.wrote {
-                    pending.push((job.reply, resp));
-                } else {
-                    let _ = job.reply.send(resp);
-                }
-                if e.group_pending(&w) >= cfg.group_max_batch as u64 {
-                    fence_and_release(&mut w, &mut pending, &mut fences);
-                }
+                committer.submit(job.req.id, &job.req.op, job.seed, job.reply);
             }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if e.group_pending(&w) > 0 || !pending.is_empty() {
-                    fence_and_release(&mut w, &mut pending, &mut fences);
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                // Every submitter is gone: flush the final batch, then
-                // checkpoint so recovery starts from a clean epoch.
-                fence_and_release(&mut w, &mut pending, &mut fences);
-                break;
-            }
+            Err(mpsc::RecvTimeoutError::Timeout) => committer.flush(),
+            Err(mpsc::RecvTimeoutError::Disconnected) => return committer.drain(),
         }
-    }
-    let queue_empty = e.group_pending(&w) == 0 && pending.is_empty();
-    e.checkpoint(&mut w);
-    DrainReport {
-        group_queue_empty: queue_empty,
-        committed,
-        fences,
-        checkpointed: true,
     }
 }

@@ -1,35 +1,26 @@
-//! Deterministic serving simulator and the group-commit crash oracle.
+//! Deterministic serving simulator: the virtual-clock driver of the
+//! [`GroupCommitter`].
 //!
-//! [`run_sim`] drives the exact execution core the live server uses —
-//! admission cap, group batches, one fence per batch, typed sheds —
-//! under the worker's virtual clock with no threads and no sockets, so
-//! every metric is a pure function of the [`SimSpec`] and bit-identical
-//! across runs. The falcon-perf `server` suite gates on it.
-//!
-//! [`crash_oracle`] reuses the same serving loop under a pmem-sim
-//! [`FaultPlan`]: a calibration pass counts device events and records
-//! the event bracket of every group fence, then a seeded power cut —
-//! biased into those fence brackets — crashes the device mid-serving
-//! with multiple simulated connections in flight. After recovery the
-//! oracle requires:
-//!
-//! * **acked ⇒ durable** — every write acknowledged (its group fence
-//!   completed before the cut) survives recovery in full;
-//! * **unacked ⇒ atomic** — the transaction racing the cut surfaces
-//!   fully applied or fully absent, never torn;
-//! * **shed ⇒ absent** — requests shed at admission leave no trace.
+//! [`run_loop`] feeds the same committer the TCP server's engine thread
+//! feeds — admission cap, group batches, one fence per batch, typed
+//! sheds — under the worker's virtual clock with no threads and no
+//! sockets, so every metric is a pure function of the [`SimSpec`] and
+//! bit-identical across runs. The falcon-perf `server` suites gate on
+//! [`run_sim`], the benchmark's `served` twin calls [`run_loop`], and
+//! the falcon-chaos `falcon-serve` spec runs [`run_loop`] under a power
+//! cut: its [`ReqRecord`]s say which acks were released before the cut
+//! and which write raced it, and [`LoopRun::fence_brackets`] lets the
+//! cut be biased into the group fence (DESIGN.md §15).
 
-use crate::proto::{Op, Status, WriteOp};
-use crate::store::{
-    apply_op, kv_def, row_of, server_engine_config, OpResult, DEVICE_CAPACITY, TABLE,
-};
+use crate::commit::{CommitSink, GroupCommitter};
+use crate::proto::{Op, Response, Status, WriteOp};
+use crate::store::{create_engine, kv_def, server_engine_config, OpResult};
 use falcon_core::recovery::recover;
 use falcon_core::retry::mix64;
-use falcon_core::{Engine, RetryPolicy, TxnError};
-use pmem_sim::{FaultPlan, PmemDevice, SimConfig};
+use falcon_core::{Engine, RetryPolicy};
+use pmem_sim::PmemDevice;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
 
 /// Shape of a simulated serving run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -190,115 +181,127 @@ fn gen_op(rng: &mut StdRng, spec: &SimSpec, stamp: &mut u64) -> Op {
     }
 }
 
-/// Run the serving loop against an open engine: waves of pipelined
-/// arrivals, a hard admission cap, execution in group batches, one
-/// fence per batch with writes, acks after the fence. Deterministic in
-/// `(engine state, spec)`; an armed fault plan does not perturb the
-/// execution path, so calibration and cut runs with the same spec take
-/// identical schedules.
-pub fn run_loop(e: &Engine, dev: &PmemDevice, spec: &SimSpec, policy: &RetryPolicy) -> LoopRun {
-    let mut w = e.worker(0).expect("worker 0");
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    let mut stamp = 1u64;
-    let mut records: Vec<ReqRecord> = Vec::new();
-    let mut stats = LoopStats::default();
-    let mut fence_brackets = Vec::new();
-    for _wave in 0..spec.waves {
-        // Arrivals: every connection offers its burst; the queue admits
-        // up to the cap and sheds the rest with a typed response.
-        let mut queued: Vec<usize> = Vec::new();
-        for conn in 0..spec.conns {
-            for _ in 0..spec.burst {
-                let op = gen_op(&mut rng, spec, &mut stamp);
-                let idx = records.len();
-                records.push(ReqRecord {
-                    conn,
-                    op,
-                    enqueue_ns: w.ctx.clock,
-                    outcome: ReqOutcome::Shed,
-                });
-                if queued.len() < spec.admission_cap {
-                    queued.push(idx);
-                }
-            }
+/// The simulator's [`CommitSink`]: acks stamp per-request outcomes with
+/// the virtual clock and the fault plane's trip state, fences are
+/// bracketed in device events.
+struct RecordSink<'a> {
+    dev: &'a PmemDevice,
+    /// Outcomes of the current wave's admitted requests, in execution
+    /// order; the ack token is the position in this vector.
+    outcomes: Vec<ReqOutcome>,
+    stats: LoopStats,
+    fence_brackets: Vec<(u64, u64)>,
+    /// Device-event index at the last `fence_begin`.
+    fence_ev0: u64,
+    /// Trip state after the last device activity the sink saw, which
+    /// is the state before the next request executes.
+    tripped: bool,
+}
+
+impl CommitSink for RecordSink<'_> {
+    type Ack = usize;
+
+    fn executed(&mut self, _ack: &usize, res: &OpResult) {
+        let tripped_after = self.dev.fault_tripped();
+        self.stats.retries += res.retries;
+        if res.status == Status::RetryExhausted {
+            self.stats.retry_exhausted += 1;
         }
-        // Drain in group batches.
-        let mut at = 0;
-        while at < queued.len() {
-            let end = (at + spec.group_max_batch).min(queued.len());
-            let batch: Vec<usize> = queued[at..end].to_vec();
-            at = end;
-            for &idx in &batch {
-                let tripped_before = dev.fault_tripped();
-                let op = records[idx].op.clone();
-                let res: OpResult =
-                    apply_op(e, &mut w, &op, policy, mix64(spec.seed ^ mix64(idx as u64)));
-                let tripped_after = dev.fault_tripped();
-                stats.retries += res.retries;
-                if res.status == Status::RetryExhausted {
-                    stats.retry_exhausted += 1;
-                }
-                records[idx].outcome = ReqOutcome::Done {
-                    status: res.status,
-                    retries: res.retries,
-                    ack_ns: 0,
-                    acked: false,
-                    committed_pre_trip: res.wrote && !tripped_after,
-                    boundary: res.wrote && tripped_after && !tripped_before,
-                    wrote: res.wrote,
-                };
-            }
-            // One fence covers every write the batch committed; acks
-            // release only after it.
-            if e.group_pending(&w) > 0 {
-                let ev0 = dev.fault_events();
-                let n = e.group_fence(&mut w);
-                let ev1 = dev.fault_events().max(ev0 + 1);
-                stats.fences += 1;
-                stats.batch_txns += n;
-                stats.batch_peak = stats.batch_peak.max(n);
-                fence_brackets.push((ev0, ev1));
-            }
-            let acked_now = !dev.fault_tripped();
-            let now = w.ctx.clock;
-            for idx in batch {
-                if let ReqOutcome::Done { ack_ns, acked, .. } = &mut records[idx].outcome {
-                    *ack_ns = now;
-                    *acked = acked_now;
-                }
-            }
-        }
+        self.outcomes.push(ReqOutcome::Done {
+            status: res.status,
+            retries: res.retries,
+            ack_ns: 0,
+            acked: false,
+            committed_pre_trip: res.wrote && !tripped_after,
+            boundary: res.wrote && tripped_after && !self.tripped,
+            wrote: res.wrote,
+        });
+        self.tripped = tripped_after;
     }
-    debug_assert_eq!(e.group_pending(&w), 0, "loop never leaves a pending group");
-    stats.elapsed_ns = w.ctx.clock;
-    LoopRun {
-        records,
-        stats,
-        fence_brackets,
+
+    fn fence_begin(&mut self) {
+        self.fence_ev0 = self.dev.fault_events();
+    }
+
+    fn fence_end(&mut self, txns: u64) {
+        let ev1 = self.dev.fault_events().max(self.fence_ev0 + 1);
+        self.fence_brackets.push((self.fence_ev0, ev1));
+        self.stats.fences += 1;
+        self.stats.batch_txns += txns;
+        self.stats.batch_peak = self.stats.batch_peak.max(txns);
+        self.tripped = self.dev.fault_tripped();
+    }
+
+    fn release(&mut self, ack: usize, _resp: Response, virt_ns: u64) {
+        if let ReqOutcome::Done { ack_ns, acked, .. } = &mut self.outcomes[ack] {
+            *ack_ns = virt_ns;
+            *acked = !self.dev.fault_tripped();
+        }
     }
 }
 
-/// Build the durable baseline image: create the serving engine,
-/// preload, fence, and quiesce, so the fault plan only governs
-/// serving-era events.
-fn make_base(preload_keys: u64) -> Result<PmemDevice, String> {
-    let sim = SimConfig::small().with_capacity(DEVICE_CAPACITY);
-    let dev = PmemDevice::new(sim).map_err(|e| format!("device: {e:?}"))?;
-    let e = Engine::create(dev.clone(), server_engine_config(), &[kv_def()])
-        .map_err(|e| format!("engine: {e:?}"))?;
-    {
-        let mut w = e.worker(0).map_err(|e| format!("worker: {e:?}"))?;
-        for k in 0..preload_keys {
-            let mut t = e.begin(&mut w, false);
-            t.insert(TABLE, &row_of(k, &[]))
-                .map_err(|e| format!("preload insert {k}: {e}"))?;
-            t.commit().map_err(|e| format!("preload commit {k}: {e}"))?;
+/// Run the serving loop against an open engine: waves of pipelined
+/// arrivals, a hard admission cap, and the admitted requests delivered
+/// to the [`GroupCommitter`] in chunks of `group_max_batch` with a
+/// `flush` after each — the live server's "a full batch lands, then the
+/// queue stays empty for the hold time". A chunk can reach
+/// `group_max_batch` pending writes only on its last request, so the
+/// committer's size trigger and the chunk-end flush coincide.
+/// Deterministic in `(engine state, spec)`; an armed fault plan does
+/// not perturb the execution path, so calibration and cut runs with the
+/// same spec take identical schedules.
+pub fn run_loop(e: &Engine, dev: &PmemDevice, spec: &SimSpec, policy: &RetryPolicy) -> LoopRun {
+    let sink = RecordSink {
+        dev,
+        outcomes: Vec::new(),
+        stats: LoopStats::default(),
+        fence_brackets: Vec::new(),
+        fence_ev0: 0,
+        tripped: dev.fault_tripped(),
+    };
+    let mut gc = GroupCommitter::new(e, *policy, spec.group_max_batch, sink).expect("worker 0");
+    let mut rng = StdRng::seed_from_u64(spec.seed);
+    let mut stamp = 1u64;
+    let mut records: Vec<ReqRecord> = Vec::new();
+    for _wave in 0..spec.waves {
+        // Arrivals: every connection offers its burst; the queue admits
+        // up to the cap and sheds the rest with a typed response.
+        let first = records.len();
+        for conn in 0..spec.conns {
+            for _ in 0..spec.burst {
+                records.push(ReqRecord {
+                    conn,
+                    op: gen_op(&mut rng, spec, &mut stamp),
+                    enqueue_ns: gc.virt_ns(),
+                    outcome: ReqOutcome::Shed,
+                });
+            }
         }
-        e.group_fence(&mut w);
+        let end = records.len().min(first + spec.admission_cap);
+        let mut idx = first;
+        for chunk in records[first..end].chunks(spec.group_max_batch) {
+            for r in chunk {
+                let seed = mix64(spec.seed ^ mix64(idx as u64));
+                gc.submit(idx as u64, &r.op, seed, idx - first);
+                idx += 1;
+            }
+            gc.flush();
+        }
+        let done = gc.sink_mut().outcomes.drain(..);
+        for (r, outcome) in records[first..end].iter_mut().zip(done) {
+            r.outcome = outcome;
+        }
     }
-    drop(e);
-    dev.quiesce();
-    Ok(dev)
+    let elapsed_ns = gc.virt_ns();
+    let sink = gc.sink_mut();
+    LoopRun {
+        records,
+        stats: LoopStats {
+            elapsed_ns,
+            ..sink.stats
+        },
+        fence_brackets: std::mem::take(&mut sink.fence_brackets),
+    }
 }
 
 /// Metrics from one deterministic serving run.
@@ -334,12 +337,14 @@ pub struct SimReport {
 /// Run the simulator once and reduce to metrics. Bit-identical for a
 /// given spec.
 pub fn run_sim(spec: &SimSpec) -> Result<SimReport, String> {
-    let dev = make_base(spec.preload_keys)?;
-    let d = dev.fork();
-    let (e, _) = recover(d.clone(), server_engine_config(), &[kv_def()])
+    // Serve from a recovered, quiesced image, so only serving-era
+    // device traffic is measured.
+    let (dev, e) = create_engine(spec.preload_keys)?;
+    drop(e);
+    dev.quiesce();
+    let (e, _) = recover(dev.clone(), server_engine_config(), &[kv_def()])
         .map_err(|e| format!("open: {e:?}"))?;
-    let policy = RetryPolicy::server();
-    let run = run_loop(&e, &d, spec, &policy);
+    let run = run_loop(&e, &dev, spec, &RetryPolicy::server());
     let mut shed = 0u64;
     let mut admitted = 0u64;
     let mut committed = 0u64;
@@ -381,296 +386,6 @@ pub fn run_sim(spec: &SimSpec) -> Result<SimReport, String> {
             committed as f64 * 1e9 / s.elapsed_ns as f64
         },
     })
-}
-
-/// Crash-oracle sweep configuration.
-#[derive(Debug, Clone)]
-pub struct CrashConfig {
-    /// Crash-recover-verify iterations.
-    pub iterations: u64,
-    /// Base seed; per-iteration seeds derive by splitmix64.
-    pub seed: u64,
-    /// Serving shape for each iteration (its seed field is overridden
-    /// per iteration).
-    pub spec: SimSpec,
-}
-
-impl Default for CrashConfig {
-    fn default() -> Self {
-        CrashConfig {
-            iterations: 200,
-            seed: 0x5E4F_C4A5,
-            spec: SimSpec {
-                // A cap below the wave volume so sheds occur inside the
-                // fault window and the shed-leaves-no-trace check bites.
-                admission_cap: 6,
-                group_max_batch: 4,
-                waves: 4,
-                ..SimSpec::default()
-            },
-        }
-    }
-}
-
-/// One oracle violation with its replay coordinates.
-#[derive(Debug, Clone)]
-pub struct CrashViolation {
-    /// Iteration index.
-    pub iter: u64,
-    /// Iteration seed.
-    pub seed: u64,
-    /// Device-event cut index.
-    pub cut: u64,
-    /// What went wrong.
-    pub detail: String,
-}
-
-/// Aggregate result of a crash-oracle sweep.
-#[derive(Debug, Clone, Default)]
-pub struct CrashReport {
-    /// Iterations executed.
-    pub iterations: u64,
-    /// Iterations whose cut actually tripped mid-serving.
-    pub tripped: u64,
-    /// Cuts that landed inside a group-fence event bracket.
-    pub fence_bracket_cuts: u64,
-    /// Write acks released before the cut, summed.
-    pub acked_writes: u64,
-    /// Requests shed at admission, summed.
-    pub sheds: u64,
-    /// Violations (empty on a clean sweep).
-    pub violations: Vec<CrashViolation>,
-}
-
-/// Read every key's recovered stamp (`None` = absent).
-fn dump_states(e: &Engine, key_space: u64) -> Result<Vec<Option<u64>>, String> {
-    let mut w = e.worker(0).map_err(|e| format!("worker: {e:?}"))?;
-    let mut out = Vec::with_capacity(key_space as usize);
-    for k in 0..key_space {
-        let mut t = e.begin(&mut w, false);
-        let state = match t.read(TABLE, k) {
-            Ok(row) => Some(u64::from_le_bytes(row[8..16].try_into().unwrap())),
-            Err(TxnError::NotFound) => None,
-            Err(err) => return Err(format!("key {k}: read failed: {err}")),
-        };
-        t.commit().map_err(|err| format!("key {k}: {err}"))?;
-        out.push(state);
-    }
-    Ok(out)
-}
-
-/// Final per-key writes of an executed request, given its typed status
-/// (a `NotFound` delete changed nothing; an aborted batch left no
-/// trace).
-fn writes_of(op: &Op, status: Status) -> Vec<(u64, Option<u64>)> {
-    if status != Status::Ok {
-        return Vec::new();
-    }
-    match op {
-        Op::Put { key, value } => {
-            vec![(*key, Some(stamp_of(value)))]
-        }
-        Op::Delete { key } => vec![(*key, None)],
-        Op::Batch(ops) => ops
-            .iter()
-            .map(|w| match w {
-                WriteOp::Put { key, value } => (*key, Some(stamp_of(value))),
-                WriteOp::Delete { key } => (*key, None),
-            })
-            .collect(),
-        _ => Vec::new(),
-    }
-}
-
-/// Every stamp an op would write (used to prove shed requests leave no
-/// trace — stamps are globally unique per request).
-fn stamps_of(op: &Op) -> Vec<u64> {
-    match op {
-        Op::Put { value, .. } => vec![stamp_of(value)],
-        Op::Batch(ops) => ops
-            .iter()
-            .filter_map(|w| match w {
-                WriteOp::Put { value, .. } => Some(stamp_of(value)),
-                WriteOp::Delete { .. } => None,
-            })
-            .collect(),
-        _ => Vec::new(),
-    }
-}
-
-fn stamp_of(value: &[u8]) -> u64 {
-    u64::from_le_bytes(value[0..8].try_into().unwrap())
-}
-
-/// Run one crash-recover-verify iteration; returns
-/// `(tripped, in_bracket, acked_writes, sheds, problems)`.
-fn crash_iteration(
-    base: &PmemDevice,
-    spec: &SimSpec,
-    policy: &RetryPolicy,
-) -> (bool, bool, u64, u64, u64, Vec<String>) {
-    let defs = [kv_def()];
-    let mut problems = Vec::new();
-    // Calibration: count events and record fence brackets.
-    let cal = base.fork();
-    cal.install_fault_plan(FaultPlan::calibrate());
-    let brackets = match recover(cal.clone(), server_engine_config(), &defs) {
-        Ok((e, _)) => {
-            let run = run_loop(&e, &cal, spec, policy);
-            run.fence_brackets
-        }
-        Err(err) => {
-            problems.push(format!("calibration recovery failed: {err:?}"));
-            return (false, false, 0, 0, 0, problems);
-        }
-    };
-    cal.crash();
-    let events = cal.fault_outcome().map_or(1, |o| o.events.max(1));
-    // Cut choice: half uniform over the run, half inside a random
-    // group-fence bracket (the window this oracle exists to crash).
-    let mut rng = StdRng::seed_from_u64(mix64(spec.seed ^ 0xF0_0C75));
-    let cut = if !brackets.is_empty() && rng.random_range(0..2u32) == 0 {
-        let (b0, b1) = brackets[rng.random_range(0..brackets.len() as u64) as usize];
-        b0 + rng.random_range(0..b1 - b0)
-    } else {
-        rng.random_range(0..events)
-    };
-    let in_bracket = brackets.iter().any(|&(b0, b1)| cut >= b0 && cut < b1);
-
-    // Cut run: same schedule, power fails at event `cut`.
-    let d = base.fork();
-    d.install_fault_plan(FaultPlan::cut(mix64(spec.seed), cut));
-    let run = match recover(d.clone(), server_engine_config(), &defs) {
-        Ok((e, _)) => run_loop(&e, &d, spec, policy),
-        Err(err) => {
-            // The cut can land inside the opening recovery itself; the
-            // engine may refuse with a typed error but must not panic.
-            // Nothing was served, so there is nothing to verify.
-            drop(err);
-            return (true, in_bracket, 0, 0, cut, problems);
-        }
-    };
-    let tripped = d.fault_tripped();
-
-    // Fold the records into the committed-state oracle.
-    let mut latest: Vec<Option<u64>> = (0..spec.key_space)
-        .map(|k| (k < spec.preload_keys).then_some(0))
-        .collect();
-    let mut boundary: Vec<(u64, Option<u64>)> = Vec::new();
-    let mut shed_stamps: BTreeSet<u64> = BTreeSet::new();
-    let mut acked_writes = 0u64;
-    let mut sheds = 0u64;
-    for (i, r) in run.records.iter().enumerate() {
-        match &r.outcome {
-            ReqOutcome::Shed => {
-                sheds += 1;
-                shed_stamps.extend(stamps_of(&r.op));
-            }
-            ReqOutcome::Done {
-                status,
-                acked,
-                committed_pre_trip,
-                boundary: is_boundary,
-                wrote,
-                ..
-            } => {
-                if *wrote && *acked {
-                    acked_writes += 1;
-                    if !committed_pre_trip {
-                        problems.push(format!(
-                            "request {i}: ack released for a write that did not \
-                             commit before the cut"
-                        ));
-                    }
-                }
-                if *status == Status::Error {
-                    problems.push(format!("request {i}: untyped engine error"));
-                }
-                let writes = writes_of(&r.op, *status);
-                if *committed_pre_trip {
-                    for (k, s) in writes {
-                        latest[k as usize] = s;
-                    }
-                } else if *is_boundary {
-                    boundary = writes;
-                }
-                // Post-trip commits leave no durable trace; shed
-                // stamps of post-trip writes are not collected because
-                // those requests *were* executed on the doomed side.
-            }
-        }
-    }
-
-    // Crash, recover, verify.
-    d.crash();
-    match recover(d.clone(), server_engine_config(), &defs) {
-        Ok((e2, _)) => match dump_states(&e2, spec.key_space) {
-            Ok(got) => {
-                let in_boundary = |k: u64| boundary.iter().any(|&(bk, _)| bk == k);
-                let all_b =
-                    !boundary.is_empty() && boundary.iter().all(|&(k, s)| got[k as usize] == s);
-                let all_l = boundary
-                    .iter()
-                    .all(|&(k, _)| got[k as usize] == latest[k as usize]);
-                if !all_b && !all_l {
-                    problems.push(format!(
-                        "boundary txn partially applied: writes {boundary:?}"
-                    ));
-                }
-                for (k, want) in latest.iter().enumerate() {
-                    if in_boundary(k as u64) {
-                        continue;
-                    }
-                    if got[k] != *want {
-                        problems.push(format!(
-                            "key {k}: recovered {:?}, last acked/committed {want:?}",
-                            got[k]
-                        ));
-                    }
-                }
-                for (k, g) in got.iter().enumerate() {
-                    if let Some(s) = g {
-                        if shed_stamps.contains(s) {
-                            problems.push(format!(
-                                "key {k}: recovered stamp {s} belongs to a request \
-                                 shed at admission"
-                            ));
-                        }
-                    }
-                }
-            }
-            Err(p) => problems.push(p),
-        },
-        Err(err) => problems.push(format!("post-crash recovery failed: {err:?}")),
-    }
-    (tripped, in_bracket, acked_writes, sheds, cut, problems)
-}
-
-/// Run the seeded crash-oracle sweep.
-pub fn crash_oracle(cfg: &CrashConfig) -> Result<CrashReport, String> {
-    let base = make_base(cfg.spec.preload_keys)?;
-    let policy = RetryPolicy::server();
-    let mut rep = CrashReport::default();
-    for i in 0..cfg.iterations {
-        let mut spec = cfg.spec.clone();
-        spec.seed = mix64(cfg.seed ^ mix64(i));
-        let (tripped, in_bracket, acked, sheds, cut, problems) =
-            crash_iteration(&base, &spec, &policy);
-        rep.iterations += 1;
-        rep.tripped += u64::from(tripped);
-        rep.fence_bracket_cuts += u64::from(in_bracket);
-        rep.acked_writes += acked;
-        rep.sheds += sheds;
-        for detail in problems {
-            rep.violations.push(CrashViolation {
-                iter: i,
-                seed: spec.seed,
-                cut,
-                detail,
-            });
-        }
-    }
-    Ok(rep)
 }
 
 #[cfg(test)]
@@ -717,21 +432,57 @@ mod tests {
         assert!(r.admitted >= spec.admission_cap as u64 * spec.waves);
     }
 
+    /// The structural numbers of three fixed specs, captured on the
+    /// parent commit (11197927, where `run_loop` was a hand-written copy
+    /// of the server's engine loop): moving the simulator onto the
+    /// shared [`GroupCommitter`] must not move any of them. `server` and
+    /// `server_overload` are the `falcon_perf` suites' specs, so these
+    /// are also the `bench/BENCH_0010.json` values.
     #[test]
-    fn crash_oracle_small_sweep_is_clean() {
-        let cfg = CrashConfig {
-            iterations: 12,
-            ..CrashConfig::default()
+    fn structural_numbers_are_pinned_to_the_parent_commit() {
+        let server = SimSpec {
+            conns: 8,
+            waves: 32,
+            burst: 2,
+            admission_cap: 16,
+            group_max_batch: 8,
+            write_pct: 100,
+            key_space: 64,
+            preload_keys: 64,
+            ..SimSpec::default()
         };
-        let rep = crash_oracle(&cfg).expect("oracle");
-        assert_eq!(rep.iterations, 12);
-        assert!(rep.tripped > 0, "some cuts must land mid-serving");
-        assert!(rep.acked_writes > 0, "acks must be exercised");
-        assert!(rep.sheds > 0, "sheds must be exercised");
-        assert!(
-            rep.violations.is_empty(),
-            "oracle violations: {:?}",
-            rep.violations
-        );
+        let server_overload = SimSpec {
+            conns: 8,
+            waves: 16,
+            burst: 4,
+            admission_cap: 8,
+            group_max_batch: 8,
+            ..SimSpec::default()
+        };
+        // requests, admitted, shed, committed, fences, batch_peak,
+        // mean_batch_milli, retries, elapsed_ns
+        let pinned = [
+            (SimSpec::default(), [64, 64, 0, 45, 8, 8, 5625, 0, 117_820]),
+            (server, [512, 512, 0, 502, 64, 8, 7843, 0, 966_040]),
+            (
+                server_overload,
+                [512, 128, 384, 95, 16, 8, 5937, 0, 229_788],
+            ),
+        ];
+        for (spec, want) in pinned {
+            let r = run_sim(&spec).expect("sim");
+            let got = [
+                r.requests,
+                r.admitted,
+                r.shed,
+                r.committed,
+                r.fences,
+                r.batch_peak,
+                r.mean_batch_milli,
+                r.retries,
+                r.elapsed_ns,
+            ];
+            assert_eq!(got, want, "{spec:?}");
+        }
     }
 }

@@ -24,8 +24,9 @@ pub const TABLE: u32 = 0;
 /// Byte offset of the value region inside a row.
 pub const VALUE_OFF: u32 = 8;
 
-/// Device capacity for server databases; matches the chaos plane so
-/// forked crash images stay cheap.
+/// Device capacity for server databases. Deliberately small: the
+/// falcon-chaos plane shares it and forks the image several times per
+/// iteration, so image size is the dominant cost of its fuzzing loop.
 pub const DEVICE_CAPACITY: u64 = 24 << 20;
 
 fn key_fn(_s: &Schema, row: &[u8]) -> u64 {

@@ -10,7 +10,7 @@ use crate::ctx::MemCtx;
 use crate::fault::{mix, FaultOutcome, FaultPlan};
 #[cfg(feature = "trace")]
 use crate::trace::{AtomicKind, Event, MemOrder, Trace, TraceMode, TraceSink};
-use crate::xpbuffer::{BlockWrite, XpBuffer};
+use crate::xpbuffer::{BlockWrite, XpBuffer, LINES_PER_BLOCK};
 use crate::{PAddr, CACHE_LINE};
 
 /// Why a line is being written back (statistics only).
@@ -472,6 +472,10 @@ impl PmemDevice {
         // loop. Nothing inside the loop reads the clock or the hit
         // counter, so the totals at every observable point are unchanged.
         let mut hits = 0u64;
+        // The four lines of a media block ask the XPBuffer the same
+        // question; the answer is kept until this call changes the
+        // buffer (a victim's writeback below).
+        let mut buffered: Option<(u64, bool)> = None;
         for line in first..=last {
             let r = inner.cache.access(line, write);
             if r.hit {
@@ -481,7 +485,16 @@ impl PmemDevice {
             ctx.stats.cache_misses += 1;
             // Fill: from the XPBuffer if the block is still buffered,
             // otherwise from the media.
-            if inner.xpbuffer.contains_block(line / 4) {
+            let block = line / LINES_PER_BLOCK;
+            let in_xpbuffer = match buffered {
+                Some((b, answer)) if b == block => answer,
+                _ => {
+                    let answer = inner.xpbuffer.contains_block(block);
+                    buffered = Some((block, answer));
+                    answer
+                }
+            };
+            if in_xpbuffer {
                 ctx.stats.fills_from_xpbuffer += 1;
                 ctx.advance(cost.fill_xpbuf_hit);
             } else {
@@ -490,6 +503,7 @@ impl PmemDevice {
             }
             if let Some(victim) = r.dirty_victim {
                 self.writeback_line(victim, WbReason::Evict, ctx);
+                buffered = None;
             }
         }
         ctx.stats.cache_hits += hits;
@@ -1040,6 +1054,24 @@ mod tests {
         // And the post-crash CPU view agrees.
         d.raw_read(PAddr(0), &mut buf);
         assert_eq!(&buf, b"durable");
+    }
+
+    #[test]
+    fn a_victim_writeback_inside_a_range_is_seen_by_the_next_fill() {
+        // Two one-way sets: lines 0 and 2 share a set, lines 0..4 share
+        // a media block. Filling line 0 evicts dirty line 2 into the
+        // XPBuffer, so line 1 — same block, same `read` — must fill from
+        // the buffer, not reuse line 0's "not buffered".
+        let mut cfg = SimConfig::small().with_cache(2 * CACHE_LINE);
+        cfg.cache_ways = 1;
+        let d = PmemDevice::new(cfg).unwrap();
+        let mut ctx = MemCtx::new(0);
+        d.write(PAddr(2 * CACHE_LINE), &[7], &mut ctx);
+        let mut buf = [0u8; 2 * CACHE_LINE as usize];
+        d.read(PAddr(0), &mut buf, &mut ctx);
+        assert_eq!(ctx.stats.evictions, 1);
+        assert_eq!(ctx.stats.media_fill_reads, 2, "line 2's and line 0's");
+        assert_eq!(ctx.stats.fills_from_xpbuffer, 1, "line 1's");
     }
 
     #[test]

@@ -5,20 +5,15 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Tunables (defaults preserve the historical gate exactly):
-#   FALCON_CHAOS_ITERS      crash-recover-verify iterations per engine x index
+#   FALCON_CHAOS_ITERS      crash-recover-verify iterations per chaos spec
 #   FALCON_PERF_TOL         relative tolerance of the falcon-perf regression gate
-#   FALCON_NET_CHAOS_ITERS  serving-layer crash-oracle iterations
 CHAOS_ITERS="${FALCON_CHAOS_ITERS:-200}"
 PERF_TOL="${FALCON_PERF_TOL:-0.05}"
-NET_CHAOS_ITERS="${FALCON_NET_CHAOS_ITERS:-200}"
 if [ "$CHAOS_ITERS" != 200 ]; then
     echo "!! non-default FALCON_CHAOS_ITERS=$CHAOS_ITERS (default 200)"
 fi
 if [ "$PERF_TOL" != 0.05 ]; then
     echo "!! non-default FALCON_PERF_TOL=$PERF_TOL (default 0.05)"
-fi
-if [ "$NET_CHAOS_ITERS" != 200 ]; then
-    echo "!! non-default FALCON_NET_CHAOS_ITERS=$NET_CHAOS_ITERS (default 200)"
 fi
 
 echo "==> cargo fmt --check"
@@ -88,9 +83,14 @@ else
     echo "SKIP (toolchain): nightly rust-src for -Zsanitizer=thread not installed"
 fi
 
-echo "==> chaos smoke (fixed seed, $CHAOS_ITERS crash-recover-verify iterations per engine x index)"
+echo "==> chaos smoke (fixed seed, $CHAOS_ITERS crash-recover-verify iterations per spec, 17 specs)"
 # Seeded and deterministic: any violation prints the exact
-# `--spec/--seed/--repro SEED:CUT` command that replays it.
+# `--spec/--seed/--repro SEED:CUT` command that replays it. The last
+# spec, falcon-serve, is the serving layer's power-cut oracle: the
+# falcon-server serving loop (the GroupCommitter that also serves TCP)
+# with half its cuts inside a group-fence bracket, held to
+# acked-implies-durable / unacked-implies-atomic / shed-implies-absent
+# (DESIGN.md §15).
 cargo run --release -q -p falcon-chaos -- --iterations "$CHAOS_ITERS"
 
 echo "==> checkpoint chaos leg (fixed seed, dense ckpt-stress legs)"
@@ -102,20 +102,17 @@ echo "==> checkpoint chaos leg (fixed seed, dense ckpt-stress legs)"
 cargo run --release -q -p falcon-chaos -- --spec falcon-ckpt --iterations 60 \
     --legs-every 2 --seed 0xCC08
 
-echo "==> serving-layer gate (smoke, overload shed, net faults, crash oracle)"
+echo "==> serving-layer gate (smoke, overload shed, net faults)"
 # Loopback smoke (pipelined mixed batch, graceful drain to an empty
 # group-commit queue), overload at 2x the admission cap (typed
-# Overloaded sheds, every request answered, zero panics), a seeded
+# Overloaded sheds, every request answered, zero panics), and a seeded
 # sweep of misbehaving clients (reset mid-request, partial-write stall,
-# slow-loris, vanish mid-batch), and $NET_CHAOS_ITERS power cuts inside
-# the group-commit fence bracket verified against the
-# acked-implies-durable / unacked-implies-atomic oracle (DESIGN.md
-# §15). A failure prints the exact `falcon_net_chaos --<leg> --seed`
-# line that replays it; TCP legs SKIP visibly where loopback is
-# unavailable.
-cargo test -q -p falcon-server --features obs
-cargo run --release -q -p falcon-server --bin falcon_net_chaos -- \
-    --iterations "$NET_CHAOS_ITERS"
+# slow-loris, vanish mid-batch). A failure prints the exact
+# `falcon_net_chaos --<leg> --seed` line that replays it; the legs SKIP
+# visibly where loopback is unavailable. (The serving power-cut oracle
+# runs in the chaos sweep above.)
+cargo test -q -p falcon-server
+cargo run --release -q -p falcon-server --bin falcon_net_chaos
 
 echo "==> falcon-perf regression gate (tolerance ±$PERF_TOL)"
 # Rerun the seed-pinned single-worker benchmark lineup and diff it

@@ -23,12 +23,12 @@
 //! the harnesses that exercise recovery; the committed `falcon_perf`
 //! trajectory ignores them (its suites are pinned by construction).
 
-#[cfg(feature = "obs")]
 pub mod perf;
 
 use std::io::Write as _;
 
 use falcon_core::{CcAlgo, Engine, EngineConfig};
+use falcon_obs::report::{RecoveryCounts, ReportMeta, RunReport};
 use falcon_wl::harness::{build_engine, run, RunConfig, RunResult, Workload};
 use falcon_wl::tpcc::{Tpcc, TpccScale};
 use falcon_wl::ycsb::{Dist, Ycsb, YcsbConfig, YcsbWorkload};
@@ -184,33 +184,25 @@ pub fn write_json(name: &str, value: serde_json::Value) {
 /// Per-binary collector for engine observability reports.
 ///
 /// Each bench binary constructs one sink, calls [`ObsSink::add`] after
-/// every measured run, and [`ObsSink::finish`] before exiting. With the
-/// `obs` feature on, every run's [`falcon_obs::report::RunReport`] table
-/// is printed and all reports are written together to
-/// `results/obs_<name>.json`; with the feature off, every method is a
-/// no-op, so binaries call the sink unconditionally with no `cfg`.
+/// every measured run, and [`ObsSink::finish`] before exiting. Every
+/// run's [`falcon_obs::report::RunReport`] table is printed and all
+/// reports are written together to `results/obs_<name>.json`.
 pub struct ObsSink {
-    #[cfg(feature = "obs")]
     name: String,
-    #[cfg(feature = "obs")]
     reports: Vec<serde_json::Value>,
 }
 
 impl ObsSink {
     /// A sink for the named bench binary (`name` keys the output file).
     pub fn new(name: &str) -> ObsSink {
-        #[cfg(not(feature = "obs"))]
-        let _ = name;
         ObsSink {
-            #[cfg(feature = "obs")]
             name: name.to_string(),
-            #[cfg(feature = "obs")]
             reports: Vec::new(),
         }
     }
 
-    /// Record one run. Prints the report table and buffers the JSON
-    /// document when the `obs` feature is on.
+    /// Record one run: print the report table and buffer the JSON
+    /// document.
     pub fn add(&mut self, engine: &str, cc: CcAlgo, workload: &str, r: &RunResult) {
         self.add_with_recovery(engine, cc, workload, r, None);
     }
@@ -228,7 +220,6 @@ impl ObsSink {
         self.add_with_recovery(engine, cc, workload, r, Some(rep));
     }
 
-    #[allow(unused_variables)]
     fn add_with_recovery(
         &mut self,
         engine: &str,
@@ -237,51 +228,46 @@ impl ObsSink {
         r: &RunResult,
         recovery: Option<&falcon_core::RecoveryReport>,
     ) {
-        #[cfg(feature = "obs")]
-        {
-            use falcon_obs::report::{RecoveryCounts, ReportMeta, RunReport};
-            let report = RunReport {
-                meta: ReportMeta {
-                    bench: self.name.clone(),
-                    engine: engine.to_string(),
-                    cc: cc.name().to_string(),
-                    workload: workload.to_string(),
-                    threads: r.stats.threads,
-                },
-                committed: r.committed,
-                aborted: r.aborted,
-                dropped: r.dropped,
-                elapsed_ns: r.elapsed_ns,
-                run: r.obs.clone(),
-                device: r.stats,
-                recovery: recovery.map(|rep| RecoveryCounts {
-                    committed_replayed: rep.committed_replayed as u64,
-                    uncommitted_discarded: rep.uncommitted_discarded as u64,
-                    tuples_scanned: rep.tuples_scanned,
-                    total_ns: rep.total_ns,
-                    torn_records: rep.torn_records,
-                    corrupt_records: rep.corrupt_records,
-                    windows_salvaged: rep.windows_salvaged,
-                    index_repairs: rep.index_repairs,
-                    spill_bytes_scanned: rep.spill_bytes_scanned,
-                    spill_records_scanned: rep.spill_records_scanned,
-                    spill_truncated_refs: rep.spill_truncated_refs,
-                    spill_bytes_truncated: rep.spill_bytes_truncated,
-                    ckpt_epoch: rep.ckpt_epoch,
-                    ckpt_meta_corrupt: rep.ckpt_meta_corrupt,
-                }),
-                race: None,
-                server: None,
-            };
-            print!("{}", report.render_table());
-            self.reports.push(report.to_json());
-        }
+        let report = RunReport {
+            meta: ReportMeta {
+                bench: self.name.clone(),
+                engine: engine.to_string(),
+                cc: cc.name().to_string(),
+                workload: workload.to_string(),
+                threads: r.stats.threads,
+            },
+            committed: r.committed,
+            aborted: r.aborted,
+            dropped: r.dropped,
+            elapsed_ns: r.elapsed_ns,
+            run: r.obs.clone(),
+            device: r.stats,
+            recovery: recovery.map(|rep| RecoveryCounts {
+                committed_replayed: rep.committed_replayed as u64,
+                uncommitted_discarded: rep.uncommitted_discarded as u64,
+                tuples_scanned: rep.tuples_scanned,
+                total_ns: rep.total_ns,
+                torn_records: rep.torn_records,
+                corrupt_records: rep.corrupt_records,
+                windows_salvaged: rep.windows_salvaged,
+                index_repairs: rep.index_repairs,
+                spill_bytes_scanned: rep.spill_bytes_scanned,
+                spill_records_scanned: rep.spill_records_scanned,
+                spill_truncated_refs: rep.spill_truncated_refs,
+                spill_bytes_truncated: rep.spill_bytes_truncated,
+                ckpt_epoch: rep.ckpt_epoch,
+                ckpt_meta_corrupt: rep.ckpt_meta_corrupt,
+            }),
+            race: None,
+            server: None,
+        };
+        print!("{}", report.render_table());
+        self.reports.push(report.to_json());
     }
 
-    /// Write the buffered reports to `results/obs_<name>.json` (obs
-    /// feature only; no-op otherwise or when nothing was recorded).
+    /// Write the buffered reports to `results/obs_<name>.json` (no-op
+    /// when nothing was recorded).
     pub fn finish(self) {
-        #[cfg(feature = "obs")]
         if !self.reports.is_empty() {
             let file = format!("obs_{}", self.name);
             write_json(&file, serde_json::Value::Array(self.reports));

@@ -17,11 +17,10 @@
 //!
 //! Every metric under a suite's `"virtual"` map is derived from the
 //! simulator's virtual clock and device counters and is bit-exact
-//! across reruns of the same tree. The `"advisory"` map (wall-clock
-//! seconds) is informational only and never gated.
+//! across reruns of the same tree. Host time is `benchmark/`'s business
+//! and is not recorded here.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use falcon_core::{recover, CcAlgo, EngineConfig};
 use falcon_obs::cost::COST_COLS;
@@ -110,7 +109,7 @@ fn run_metrics(r: &RunResult) -> Value {
         }
     }
 
-    // Attributed device time per phase column (the obs-v4 cost matrix).
+    // Attributed device time per phase column (the cost matrix).
     if let Some(cost) = &r.obs.cost {
         for c in 0..COST_COLS {
             put(
@@ -131,19 +130,14 @@ struct Suite {
 }
 
 fn workload_suite(name: &'static str, mk: impl FnOnce() -> RunResult) -> Suite {
-    let wall = Instant::now();
     let r = mk();
-    let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
     eprintln!(
-        "[falcon-perf] {name:<10} {:>10.3} ktxn/s (virtual)  {wall_ms:>7.0} ms wall",
+        "[falcon-perf] {name:<10} {:>10.3} ktxn/s (virtual)",
         r.txn_per_sec / 1e3
     );
     Suite {
         name,
-        block: json!({
-            "virtual": run_metrics(&r),
-            "advisory": json!({ "wall_ms": Value::from(wall_ms) }),
-        }),
+        block: json!({ "virtual": run_metrics(&r) }),
         cost: r.obs.cost.clone(),
     }
 }
@@ -173,7 +167,6 @@ fn tpcc_suite() -> Suite {
 /// Crash-recovery leg: load YCSB, run briefly, crash the device, and
 /// measure the virtual recovery timeline.
 fn recovery_suite() -> Suite {
-    let wall = Instant::now();
     let cfg = EngineConfig::falcon().with_cc(CcAlgo::Occ).with_threads(1);
     let y = Ycsb::new(YcsbConfig::new(YcsbWorkload::A, Dist::Uniform).with_records(YCSB_RECORDS));
     let data = YCSB_RECORDS * (u64::from(y.config().tuple_size()) + 64);
@@ -185,9 +178,8 @@ fn recovery_suite() -> Suite {
     dev.crash();
     let defs = [y.table_def()];
     let (_e2, rep) = recover(dev, cfg, &defs).expect("recovery");
-    let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
     eprintln!(
-        "[falcon-perf] {:<10} {:>10.3} ms recovery (virtual)  {wall_ms:>7.0} ms wall",
+        "[falcon-perf] {:<10} {:>10.3} ms recovery (virtual)",
         "recovery",
         rep.total_ns as f64 / 1e6
     );
@@ -203,7 +195,6 @@ fn recovery_suite() -> Suite {
                 "uncommitted_discarded": Value::from(rep.uncommitted_discarded as u64),
                 "tuples_scanned": Value::from(rep.tuples_scanned),
             }),
-            "advisory": json!({ "wall_ms": Value::from(wall_ms) }),
         }),
         cost: None,
     }
@@ -218,7 +209,6 @@ fn recovery_suite() -> Suite {
 /// creep up — either moving past tolerance means the bounded-restart
 /// guarantee regressed.
 fn ckpt_suite() -> Suite {
-    let wall = Instant::now();
     let mut cfg = EngineConfig::falcon()
         .with_cc(CcAlgo::Occ)
         .with_threads(1)
@@ -240,9 +230,8 @@ fn ckpt_suite() -> Suite {
     dev.crash();
     let defs = [y.table_def()];
     let (_e2, rep) = recover(dev, cfg, &defs).expect("recovery");
-    let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
     eprintln!(
-        "[falcon-perf] {:<10} {:>10.3} ms replay, {} B spill truncated (virtual)  {wall_ms:>7.0} ms wall",
+        "[falcon-perf] {:<10} {:>10.3} ms replay, {} B spill truncated (virtual)",
         "ckpt",
         rep.replay_ns as f64 / 1e6,
         rep.spill_bytes_truncated,
@@ -260,7 +249,6 @@ fn ckpt_suite() -> Suite {
                 "backpressure_stalls": Value::from(stalls),
                 "committed_replayed": Value::from(rep.committed_replayed as u64),
             }),
-            "advisory": json!({ "wall_ms": Value::from(wall_ms) }),
         }),
         cost: None,
     }
@@ -293,7 +281,6 @@ fn server_metrics(rep: &falcon_server::sim::SimReport) -> Value {
 /// the exact amortization ratio (`mean_batch_milli`) is then pinned by
 /// the baseline comparison.
 fn server_suite() -> Suite {
-    let wall = Instant::now();
     let spec = SimSpec {
         conns: 8,
         waves: 32,
@@ -322,9 +309,8 @@ fn server_suite() -> Suite {
         rep.fences,
         rep.committed
     );
-    let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
     eprintln!(
-        "[falcon-perf] {:<10} {:>10.3} ktxn/s (virtual), {:.2} txns/fence  {wall_ms:>7.0} ms wall",
+        "[falcon-perf] {:<10} {:>10.3} ktxn/s (virtual), {:.2} txns/fence",
         "server",
         rep.txn_per_sec / 1e3,
         rep.mean_batch_milli as f64 / 1e3,
@@ -333,7 +319,6 @@ fn server_suite() -> Suite {
         name: "server",
         block: json!({
             "virtual": server_metrics(&rep),
-            "advisory": json!({ "wall_ms": Value::from(wall_ms) }),
         }),
         cost: None,
     }
@@ -346,7 +331,6 @@ fn server_suite() -> Suite {
 /// requests that *were* admitted must not creep up — admission control
 /// exists precisely to keep the served fraction fast.
 fn server_overload_suite() -> Suite {
-    let wall = Instant::now();
     let spec = SimSpec {
         conns: 8,
         waves: 16,
@@ -364,9 +348,8 @@ fn server_overload_suite() -> Suite {
         rep.shed,
         rep.requests
     );
-    let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
     eprintln!(
-        "[falcon-perf] {:<10} {:>10.3} ktxn/s (virtual), {} shed  {wall_ms:>7.0} ms wall",
+        "[falcon-perf] {:<10} {:>10.3} ktxn/s (virtual), {} shed",
         "server_ov",
         rep.txn_per_sec / 1e3,
         rep.shed,
@@ -375,7 +358,6 @@ fn server_overload_suite() -> Suite {
         name: "server_overload",
         block: json!({
             "virtual": server_metrics(&rep),
-            "advisory": json!({ "wall_ms": Value::from(wall_ms) }),
         }),
         cost: None,
     }
@@ -537,9 +519,9 @@ impl Comparison {
     }
 }
 
-/// Flatten a record's gated metrics to `suite.metric` → value pairs.
-/// Only the `"virtual"` subtree of each suite is gated; `"advisory"`
-/// (wall-clock) never is.
+/// Flatten a record's gated metrics (each suite's `"virtual"` map) to
+/// `suite.metric` → value pairs. Other keys of a suite block, such as
+/// the `"advisory"` wall-clock map of older records, are ignored.
 fn flatten(doc: &Value) -> Result<Vec<(String, f64)>, String> {
     let Some(Value::Object(suites)) = doc.get("suites") else {
         return Err("record has no \"suites\" object".to_string());
@@ -639,7 +621,6 @@ mod tests {
                         "sfences": Value::from(sfences),
                         "committed": 2000u64,
                     }),
-                    "advisory": json!({ "wall_ms": 12345.0 }),
                 }),
             }),
         })
@@ -699,18 +680,6 @@ mod tests {
         let c = compare(&small, &doc(1e6, 100), 0.05).unwrap();
         assert!(c.pass());
         assert!(c.deltas.iter().any(|d| d.status == DeltaStatus::Added));
-    }
-
-    #[test]
-    fn advisory_subtree_is_not_gated() {
-        let mut b = doc(1e6, 100);
-        if let Some(Value::Object(suites)) = b.get_mut("suites") {
-            suites[0].1 = json!({
-                "virtual": suites[0].1.get("virtual").unwrap().clone(),
-                "advisory": json!({ "wall_ms": 99999999.0 }),
-            });
-        }
-        assert!(compare(&doc(1e6, 100), &b, 0.05).unwrap().pass());
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! page — a zeroed swing word reads as "no checkpoint", so pre-existing
 //! images stay compatible.
 
-#[cfg(feature = "persist-check")]
+#[cfg(feature = "trace")]
 use pmem_sim::trace::Event;
 use pmem_sim::{MemCtx, PAddr, PmemDevice};
 
@@ -41,7 +41,7 @@ use falcon_storage::MAX_THREADS;
 
 use crate::crc;
 use crate::engine::{Engine, Worker};
-use crate::obs::Phase;
+use falcon_obs::Phase;
 
 /// Byte offset of the checkpoint-record array from the engine's
 /// watermark-page base.
@@ -107,7 +107,7 @@ fn rec_crc(thread: usize, epoch: u64, mark: u64) -> u64 {
 
 /// Pseudo-TID a boundary publish is traced under (persistency checker):
 /// top bit set so it can never collide with an engine TID.
-#[cfg(feature = "persist-check")]
+#[cfg(feature = "trace")]
 fn pseudo_tid(thread: usize, epoch: u64) -> u64 {
     0x8000_0000_0000_0000 | ((thread as u64) << 32) | (epoch & 0xFFFF_FFFF)
 }
@@ -145,11 +145,11 @@ pub fn publish(
     boundary: bool,
     ctx: &mut MemCtx,
 ) {
-    #[cfg(not(feature = "persist-check"))]
+    #[cfg(not(feature = "trace"))]
     let _ = boundary;
     let rec = record_addr(area, thread);
     let bank = rec.add(bank_of(epoch));
-    #[cfg(feature = "persist-check")]
+    #[cfg(feature = "trace")]
     if boundary {
         dev.trace_emit(Event::TxnBegin {
             thread: ctx.thread_id,
@@ -164,7 +164,7 @@ pub fn publish(
     dev.store_u64(bank, epoch, ctx);
     dev.store_u64(bank.add(8), mark, ctx);
     dev.store_u64(bank.add(16), rec_crc(thread, epoch, mark), ctx);
-    #[cfg(feature = "persist-check")]
+    #[cfg(feature = "trace")]
     if boundary {
         dev.trace_emit(Event::DurableHint {
             thread: ctx.thread_id,
@@ -180,7 +180,7 @@ pub fn publish(
     }
     // The swing: one aligned 8-byte store. Readers see the old epoch or
     // the new one; the bank it selects is already durable.
-    #[cfg(feature = "persist-check")]
+    #[cfg(feature = "trace")]
     if boundary {
         dev.trace_emit(Event::CommitRecord {
             thread: ctx.thread_id,
@@ -188,7 +188,7 @@ pub fn publish(
         });
     }
     dev.store_u64(rec.add(CK_SWING), epoch, ctx);
-    #[cfg(feature = "persist-check")]
+    #[cfg(feature = "trace")]
     if boundary {
         dev.trace_emit(Event::DurableHint {
             thread: ctx.thread_id,
@@ -202,7 +202,7 @@ pub fn publish(
         dev.clwb_if_adr(rec, ctx);
     }
     dev.sfence(ctx);
-    #[cfg(feature = "persist-check")]
+    #[cfg(feature = "trace")]
     if boundary {
         dev.trace_emit(Event::TxnCommit {
             thread: ctx.thread_id,
@@ -228,8 +228,7 @@ pub fn read_record(dev: &PmemDevice, area: PAddr, thread: usize, ctx: &mut MemCt
     CkptRead::Valid { epoch, mark }
 }
 
-/// Per-worker checkpoint counters (always compiled — the proptest
-/// suites reconcile them without the `obs` feature).
+/// Per-worker checkpoint counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CkptStats {
     /// Checkpoints published by this worker.
@@ -296,22 +295,22 @@ pub(crate) fn run(e: &Engine, w: &mut Worker, boundary: bool) {
     w.ctx.attr_phase(ap);
 }
 
-#[cfg(feature = "persist-check")]
+#[cfg(feature = "trace")]
 fn skip_bank_flush() -> bool {
     inject::skip_bank_flush()
 }
 
-#[cfg(not(feature = "persist-check"))]
+#[cfg(not(feature = "trace"))]
 fn skip_bank_flush() -> bool {
     false
 }
 
-#[cfg(feature = "persist-check")]
+#[cfg(feature = "trace")]
 fn skip_pre_swing_fence() -> bool {
     inject::skip_pre_swing_fence()
 }
 
-#[cfg(not(feature = "persist-check"))]
+#[cfg(not(feature = "trace"))]
 fn skip_pre_swing_fence() -> bool {
     false
 }
@@ -320,8 +319,8 @@ fn skip_pre_swing_fence() -> bool {
 /// each deliberately elides one ordering step of [`publish`] so the
 /// corresponding falcon-check rule (R1/R2 for the flushes, R3 for the
 /// pre-swing fence) must fire. Thread-local; test-only by construction
-/// (the `persist-check` feature).
-#[cfg(feature = "persist-check")]
+/// (the `trace` feature).
+#[cfg(feature = "trace")]
 pub mod inject {
     use std::cell::Cell;
 

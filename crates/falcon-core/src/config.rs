@@ -130,20 +130,8 @@ pub struct EngineConfig {
     pub window_slots: usize,
     /// Ring capacity of the small log window, bytes per thread.
     pub window_bytes: u64,
-    /// Ring capacity of the conventional NVM log, bytes per thread.
-    pub nvm_log_bytes: u64,
-    /// Entries in the ZenS DRAM tuple cache, per shard (×64 shards).
-    /// The default caches a few thousand tuples — a small fraction of
-    /// any experiment's table, as on the paper's testbed where DRAM
-    /// cannot hold the 256 GB working set.
-    pub tuple_cache_capacity: usize,
     /// Version-queue length that triggers GC (§5.4).
     pub version_gc_threshold: usize,
-    /// Fixed CPU cost charged per operation (virtual ns), so memory
-    /// traffic is not 100 % of runtime.
-    pub cpu_op_ns: u64,
-    /// Fixed CPU cost charged per transaction begin+commit pair.
-    pub cpu_txn_ns: u64,
     /// Whether fuzzy checkpoints run at all (in-place engines only;
     /// out-of-place engines are log-free and never spill).
     pub ckpt_enabled: bool,
@@ -154,9 +142,6 @@ pub struct EngineConfig {
     /// Spill-tail length that triggers a boundary checkpoint after the
     /// next commit. Must be ≤ `ckpt_spill_cap`.
     pub ckpt_spill_threshold: u64,
-    /// Maximum tracked dirty cache lines per worker before the hinted
-    /// flush stops deferring and writes through immediately.
-    pub ckpt_dirty_cap: usize,
     /// Group commit: defer the commit fence out of the per-transaction
     /// path so a batch of transactions shares one `sfence` (issued by
     /// [`Engine::group_fence`](crate::Engine::group_fence)). Only legal
@@ -181,15 +166,10 @@ impl EngineConfig {
             hot_capacity: 512,
             window_slots: 3,
             window_bytes: 24 << 10,
-            nvm_log_bytes: 4 << 20,
-            tuple_cache_capacity: 64,
             version_gc_threshold: 256,
-            cpu_op_ns: 150,
-            cpu_txn_ns: 400,
             ckpt_enabled: true,
             ckpt_spill_cap: 16 << 20,
             ckpt_spill_threshold: 8 << 20,
-            ckpt_dirty_cap: 1 << 16,
             group_commit: false,
         }
     }

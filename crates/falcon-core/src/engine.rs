@@ -20,7 +20,7 @@ use crate::logwindow::LogWindow;
 use crate::meta::{self, DramMeta, MetaStore};
 use crate::table::{Table, TableDef};
 use crate::tid::{ActiveTable, TidGen};
-use crate::tuplecache::TupleCache;
+use crate::tuplecache::{TupleCache, SHARD_CAPACITY};
 use crate::txn::Txn;
 use crate::versions::VersionHeap;
 
@@ -35,6 +35,10 @@ pub const FLAG_TOMBSTONE: u64 = 4;
 
 /// Index-root slot reserved for engine state (commit watermark page).
 const ENGINE_SLOT: usize = layout::INDEX_SLOTS - 1;
+
+/// Ring capacity of the conventional NVM log ([`LogPolicy::NvmLog`]),
+/// bytes per thread.
+const NVM_LOG_BYTES: u64 = 4 << 20;
 
 /// The OLTP engine.
 pub struct Engine {
@@ -96,7 +100,7 @@ impl Engine {
             },
             tuple_cache: cfg
                 .tuple_cache
-                .then(|| TupleCache::new(cfg.tuple_cache_capacity, cost)),
+                .then(|| TupleCache::new(SHARD_CAPACITY, cost)),
             epoch,
             watermarks: wm,
             defs: defs.to_vec(),
@@ -162,7 +166,7 @@ impl Engine {
                 LogPolicy::SmallWindow => {
                     (self.cfg.window_bytes / self.cfg.window_slots as u64, false)
                 }
-                LogPolicy::NvmLog => (self.cfg.nvm_log_bytes / self.cfg.window_slots as u64, true),
+                LogPolicy::NvmLog => (NVM_LOG_BYTES / self.cfg.window_slots as u64, true),
             };
             let existing = self.catalog.log_window(thread, &mut ctx);
             let mut w = if existing != 0 {
@@ -213,7 +217,7 @@ impl Engine {
             ckpt_epoch,
             ckpt: CkptStats::default(),
             group_pending: 0,
-            obs: crate::obs::EngineStats::new(),
+            obs: falcon_obs::EngineStats::new(),
         })
     }
 
@@ -233,17 +237,12 @@ impl Engine {
         if batch == 0 {
             return 0;
         }
-        #[cfg(feature = "obs")]
         let prev = w.ctx.attr_phase(falcon_obs::Phase::GroupFence as usize);
-        #[cfg(feature = "obs")]
         let t0 = w.ctx.clock;
         self.dev.sfence(&mut w.ctx);
-        #[cfg(feature = "obs")]
-        {
-            w.obs
-                .phase_add(falcon_obs::Phase::GroupFence, w.ctx.clock - t0);
-            w.ctx.attr_phase(prev);
-        }
+        w.obs
+            .phase_add(falcon_obs::Phase::GroupFence, w.ctx.clock - t0);
+        w.ctx.attr_phase(prev);
         w.obs.group_fence_record(batch);
         w.group_pending = 0;
         batch
@@ -261,7 +260,6 @@ impl Engine {
     /// Snapshot `w`'s engine observability counters, folding in the
     /// log-window, hot-LRU, and version-heap counters the worker's
     /// sub-structures accumulated.
-    #[cfg(feature = "obs")]
     pub fn collect_obs(&self, w: &Worker) -> falcon_obs::EngineStats {
         let mut s = w.obs.clone();
         if let Some(win) = &w.window {
@@ -293,7 +291,6 @@ impl Engine {
     /// Zero `w`'s engine observability counters (e.g. after warmup),
     /// including the sub-structure counters [`Engine::collect_obs`]
     /// folds in.
-    #[cfg(feature = "obs")]
     pub fn obs_reset(&self, w: &mut Worker) {
         w.obs = falcon_obs::EngineStats::default();
         if let Some(win) = &mut w.window {
@@ -420,15 +417,13 @@ pub struct Worker {
     /// Latest published checkpoint epoch (seeded from the persistent
     /// record at worker creation).
     pub(crate) ckpt_epoch: u64,
-    /// Checkpoint counters (always compiled; see
-    /// [`crate::checkpoint::CkptStats`]).
+    /// Checkpoint counters (see [`crate::checkpoint::CkptStats`]).
     pub(crate) ckpt: CkptStats,
     /// Commits whose fence was deferred to the next group fence
     /// (group-commit engines only; always 0 otherwise).
     pub(crate) group_pending: u64,
-    /// Engine observability counters (a zero-sized no-op stub unless
-    /// the `obs` feature is on).
-    pub obs: crate::obs::EngineStats,
+    /// Engine observability counters.
+    pub obs: falcon_obs::EngineStats,
 }
 
 impl Worker {

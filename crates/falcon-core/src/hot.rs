@@ -14,7 +14,6 @@ pub struct HotSet {
     stamps: HashMap<u64, u64>,
     capacity: usize,
     tick: u64,
-    #[cfg(feature = "obs")]
     obs: (u64, u64, u64), // (hits, misses, evictions)
 }
 
@@ -26,20 +25,17 @@ impl HotSet {
             stamps: HashMap::with_capacity(capacity + 1),
             capacity,
             tick: 0,
-            #[cfg(feature = "obs")]
             obs: (0, 0, 0),
         }
     }
 
     /// Observability counters: `(hits, misses, evictions)` since the
     /// last [`HotSet::obs_reset`].
-    #[cfg(feature = "obs")]
     pub fn obs_counts(&self) -> (u64, u64, u64) {
         self.obs
     }
 
     /// Zero the observability counters (e.g. after warmup).
-    #[cfg(feature = "obs")]
     pub fn obs_reset(&mut self) {
         self.obs = (0, 0, 0);
     }
@@ -50,33 +46,21 @@ impl HotSet {
     /// `false` (flush it this time).
     pub fn check_and_cache(&mut self, addr: u64) -> bool {
         if self.capacity == 0 {
-            #[cfg(feature = "obs")]
-            {
-                self.obs.1 += 1;
-            }
+            self.obs.1 += 1;
             return false;
         }
         self.tick += 1;
         let tick = self.tick;
         if let Some(stamp) = self.stamps.get_mut(&addr) {
             *stamp = tick;
-            #[cfg(feature = "obs")]
-            {
-                self.obs.0 += 1;
-            }
+            self.obs.0 += 1;
             return true;
         }
-        #[cfg(feature = "obs")]
-        {
-            self.obs.1 += 1;
-        }
+        self.obs.1 += 1;
         if self.stamps.len() >= self.capacity {
             if let Some((&victim, _)) = self.stamps.iter().min_by_key(|(_, &s)| s) {
                 self.stamps.remove(&victim);
-                #[cfg(feature = "obs")]
-                {
-                    self.obs.2 += 1;
-                }
+                self.obs.2 += 1;
             }
         }
         self.stamps.insert(addr, tick);

@@ -61,7 +61,6 @@ pub mod error;
 pub mod hot;
 pub mod logwindow;
 pub mod meta;
-pub mod obs;
 pub mod recovery;
 pub mod retry;
 pub mod table;

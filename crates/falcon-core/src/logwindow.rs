@@ -20,7 +20,7 @@
 //! overflow region (large, streamed, naturally evicted): this is the
 //! §5.5 limitation that Figure 12 measures.
 
-#[cfg(feature = "persist-check")]
+#[cfg(feature = "trace")]
 use pmem_sim::trace::Event;
 use pmem_sim::{MemCtx, PAddr, PmemDevice};
 
@@ -194,8 +194,7 @@ impl SlotImage {
 /// first 48 header bytes + unpadded payload, zero-extended to a word).
 pub const REC_HDR: u64 = 56;
 
-/// Per-window observability counters (feature `obs`).
-#[cfg(feature = "obs")]
+/// Per-window observability counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WindowObs {
     /// Redo records appended.
@@ -267,7 +266,6 @@ pub struct LogWindow {
     // (just past its marker); valid while `in_overflow`.
     txn_spill_start: u64,
     alloc: NvmAllocator,
-    #[cfg(feature = "obs")]
     obs: WindowObs,
 }
 
@@ -316,7 +314,6 @@ impl LogWindow {
             in_overflow: false,
             txn_spill_start: 0,
             alloc: alloc.clone(),
-            #[cfg(feature = "obs")]
             obs: WindowObs::default(),
         })
     }
@@ -348,7 +345,6 @@ impl LogWindow {
             in_overflow: false,
             txn_spill_start: 0,
             alloc: alloc.clone(),
-            #[cfg(feature = "obs")]
             obs: WindowObs::default(),
         }
     }
@@ -366,13 +362,11 @@ impl LogWindow {
     }
 
     /// Observability counters since the last [`LogWindow::obs_reset`].
-    #[cfg(feature = "obs")]
     pub fn obs_counts(&self) -> WindowObs {
         self.obs
     }
 
     /// Zero the observability counters (e.g. after warmup).
-    #[cfg(feature = "obs")]
     pub fn obs_reset(&mut self) {
         self.obs = WindowObs::default();
     }
@@ -382,7 +376,6 @@ impl LogWindow {
     /// Algorithm 1).
     pub fn begin_txn(&mut self, tid: u64, ctx: &mut MemCtx) {
         self.cur = (self.cur + 1) % self.slots;
-        #[cfg(feature = "obs")]
         if self.cur == 0 {
             self.obs.wraps += 1;
         }
@@ -396,7 +389,7 @@ impl LogWindow {
             self.dev.raw_read(h.add(S_STATE), &mut state);
             assert_eq!(u64::from_le_bytes(state), FREE);
         }
-        #[cfg(feature = "persist-check")]
+        #[cfg(feature = "trace")]
         self.dev.trace_emit(Event::LogRange {
             thread: ctx.thread_id,
             addr: h.0,
@@ -514,10 +507,7 @@ impl LogWindow {
                 // Cap reached: the caller drains the tail with a
                 // checkpoint (bounded backpressure) or aborts — never
                 // a panic, never a dropped record.
-                #[cfg(feature = "obs")]
-                {
-                    self.obs.full_stalls += 1;
-                }
+                self.obs.full_stalls += 1;
                 return Err(TxnError::LogOverflow);
             }
             if !self.in_overflow {
@@ -525,7 +515,7 @@ impl LogWindow {
                 // the recovery-time tail scan can attribute and
                 // CRC-validate the records that follow.
                 let m = data_base.add(self.spill_tail);
-                #[cfg(feature = "persist-check")]
+                #[cfg(feature = "trace")]
                 self.dev.trace_emit(Event::LogRange {
                     thread: ctx.thread_id,
                     addr: m.0,
@@ -553,16 +543,10 @@ impl LogWindow {
                     data_base.add(self.txn_spill_start).0,
                     ctx,
                 );
-                #[cfg(feature = "obs")]
-                {
-                    self.obs.overflow_spills += 1;
-                    self.obs.overflow_spill_bytes += REC_HDR;
-                }
+                self.obs.overflow_spills += 1;
+                self.obs.overflow_spill_bytes += REC_HDR;
             }
-            #[cfg(feature = "obs")]
-            {
-                self.obs.overflow_spill_bytes += need;
-            }
+            self.obs.overflow_spill_bytes += need;
             let a = data_base.add(self.spill_tail);
             self.spill_tail += need;
             self.dev.store_u64(
@@ -572,7 +556,7 @@ impl LogWindow {
             );
             a
         };
-        #[cfg(feature = "persist-check")]
+        #[cfg(feature = "trace")]
         self.dev.trace_emit(Event::LogRange {
             thread: ctx.thread_id,
             addr: addr.0,
@@ -608,11 +592,8 @@ impl LogWindow {
             // at any cut, `len` never covers bytes that missed media.
             self.dev.clwb(h, ctx);
         }
-        #[cfg(feature = "obs")]
-        {
-            self.obs.appends += 1;
-            self.obs.append_bytes += need;
-        }
+        self.obs.appends += 1;
+        self.obs.append_bytes += need;
         Ok(())
     }
 
@@ -666,7 +647,7 @@ impl LogWindow {
         // The fence orders log records before the commit state; in ADR
         // mode (conventional log) it also drains the clwb'd records.
         self.dev.sfence(ctx);
-        #[cfg(feature = "persist-check")]
+        #[cfg(feature = "trace")]
         self.dev.trace_emit(Event::CommitRecord {
             thread: ctx.thread_id,
             addr: h.add(S_STATE).0,
@@ -692,7 +673,7 @@ impl LogWindow {
             "commit_deferred is only sound for the small log window"
         );
         let h = slot_hdr(self.base, self.cur);
-        #[cfg(feature = "persist-check")]
+        #[cfg(feature = "trace")]
         self.dev.trace_emit(Event::CommitRecord {
             thread: ctx.thread_id,
             addr: h.add(S_STATE).0,
@@ -789,7 +770,7 @@ impl LogWindow {
         while off < live {
             let n = (live - off).min(buf.len() as u64) as usize;
             self.dev.read(data_base.add(m0 + off), &mut buf[..n], ctx);
-            #[cfg(feature = "persist-check")]
+            #[cfg(feature = "trace")]
             self.dev.trace_emit(Event::LogRange {
                 thread: ctx.thread_id,
                 addr: data_base.add(off).0,

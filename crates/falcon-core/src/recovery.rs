@@ -27,7 +27,7 @@ use crate::logwindow::{self, RedoKind};
 use crate::meta::{self, DramMeta, MetaStore};
 use crate::table::{Table, TableDef};
 use crate::tid::{ActiveTable, TidGen};
-use crate::tuplecache::TupleCache;
+use crate::tuplecache::{TupleCache, SHARD_CAPACITY};
 use crate::versions::VersionHeap;
 
 /// Index-root slot reserved for engine state (must match engine.rs).
@@ -195,7 +195,7 @@ pub fn recover(
         },
         tuple_cache: cfg
             .tuple_cache
-            .then(|| TupleCache::new(cfg.tuple_cache_capacity, cost)),
+            .then(|| TupleCache::new(SHARD_CAPACITY, cost)),
         epoch,
         watermarks,
         defs: defs.to_vec(),

@@ -15,6 +15,11 @@ use pmem_sim::{CostModel, MemCtx};
 /// Number of shards.
 const SHARDS: usize = 64;
 
+/// Entries per shard in the engine's cache. A few thousand tuples in
+/// all — a small fraction of any experiment's table, as on the paper's
+/// testbed where DRAM cannot hold the 256 GB working set.
+pub(crate) const SHARD_CAPACITY: usize = 64;
+
 struct Shard {
     map: HashMap<(u32, u64), (u64, Vec<u8>)>, // (table, key) -> (stamp, data)
     tick: u64,

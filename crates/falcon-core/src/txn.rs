@@ -19,7 +19,7 @@
 
 use std::mem;
 
-#[cfg(feature = "persist-check")]
+#[cfg(feature = "trace")]
 use pmem_sim::trace::Event;
 use pmem_sim::PAddr;
 
@@ -30,7 +30,19 @@ use crate::engine::{Engine, Worker, FLAG_OBSOLETE, FLAG_TOMBSTONE};
 use crate::error::TxnError;
 use crate::logwindow::{AppendMark, RedoKind, RedoRecord};
 use crate::meta::{self, MetaStore};
-use crate::obs::Phase;
+use falcon_obs::Phase;
+
+/// Fixed CPU cost charged per operation (virtual ns), so memory
+/// traffic is not 100 % of runtime.
+const CPU_OP_NS: u64 = 150;
+
+/// Fixed CPU cost charged at transaction begin and again at commit
+/// (virtual ns).
+const CPU_TXN_NS: u64 = 400;
+
+/// Maximum tracked dirty cache lines per worker before the hinted
+/// flush stops deferring and writes through immediately.
+const CKPT_DIRTY_CAP: usize = 1 << 16;
 
 /// A read-set entry.
 #[derive(Debug, Clone, Copy)]
@@ -89,10 +101,10 @@ impl<'e, 'w> Txn<'e, 'w> {
     pub(crate) fn begin(e: &'e Engine, w: &'w mut Worker, read_only: bool) -> Txn<'e, 'w> {
         let tid = e.tid_gen.next(w.thread);
         e.active.begin(w.thread, tid);
-        w.ctx.advance(e.cfg.cpu_txn_ns);
+        w.ctx.advance(CPU_TXN_NS);
         w.rs.clear();
         w.ws.clear();
-        #[cfg(feature = "persist-check")]
+        #[cfg(feature = "trace")]
         e.dev.trace_emit(Event::TxnBegin {
             thread: w.ctx.thread_id,
             tid,
@@ -192,7 +204,7 @@ impl<'e, 'w> Txn<'e, 'w> {
         off: u32,
         len: u32,
     ) -> Result<Vec<u8>, TxnError> {
-        self.w.ctx.advance(self.e.cfg.cpu_op_ns);
+        self.w.ctx.advance(CPU_OP_NS);
 
         // ZenS: probe the DRAM tuple cache first.
         if let Some(cache) = &self.e.tuple_cache {
@@ -256,7 +268,7 @@ impl<'e, 'w> Txn<'e, 'w> {
         hi: u64,
         mut cb: impl FnMut(u64, &[u8]) -> bool,
     ) -> Result<(), TxnError> {
-        self.w.ctx.advance(self.e.cfg.cpu_op_ns);
+        self.w.ctx.advance(CPU_OP_NS);
         let t = self.e.table(table);
         let mut pairs: Vec<(u64, u64)> = Vec::new();
         let t0 = self.w.ctx.clock;
@@ -271,7 +283,7 @@ impl<'e, 'w> Txn<'e, 'w> {
         scanned?;
         let size = t.tuple_size();
         for (k, addr) in pairs {
-            self.w.ctx.advance(self.e.cfg.cpu_op_ns);
+            self.w.ctx.advance(CPU_OP_NS);
             let tuple = TupleRef::new(PAddr(addr));
             let row = if let Some(i) = self.ws_index(tuple) {
                 let tw = &self.w.ws[i];
@@ -618,7 +630,7 @@ impl<'e, 'w> Txn<'e, 'w> {
         if self.read_only {
             return Err(TxnError::ReadOnly);
         }
-        self.w.ctx.advance(self.e.cfg.cpu_op_ns);
+        self.w.ctx.advance(CPU_OP_NS);
         let tuple = self.resolve(table, key)?;
 
         if let Some(i) = self.ws_index(tuple) {
@@ -736,7 +748,7 @@ impl<'e, 'w> Txn<'e, 'w> {
         if self.read_only {
             return Err(TxnError::ReadOnly);
         }
-        self.w.ctx.advance(self.e.cfg.cpu_op_ns);
+        self.w.ctx.advance(CPU_OP_NS);
         let t = self.e.table(table);
         assert_eq!(row.len(), t.tuple_size() as usize, "row must match schema");
         let key = (t.primary_key)(&t.schema, row);
@@ -834,7 +846,7 @@ impl<'e, 'w> Txn<'e, 'w> {
         if self.read_only {
             return Err(TxnError::ReadOnly);
         }
-        self.w.ctx.advance(self.e.cfg.cpu_op_ns);
+        self.w.ctx.advance(CPU_OP_NS);
         let tuple = self.resolve(table, key)?;
         if self.ws_index(tuple).is_some() {
             // Deleting a tuple this transaction already wrote is not
@@ -883,7 +895,7 @@ impl<'e, 'w> Txn<'e, 'w> {
 
     /// Commit the transaction.
     pub fn commit(mut self) -> Result<(), TxnError> {
-        self.w.ctx.advance(self.e.cfg.cpu_txn_ns);
+        self.w.ctx.advance(CPU_TXN_NS);
         if self.w.ws.is_empty() {
             // Read-only (or empty) transaction: free the window slot
             // claimed at begin, release read locks, done.
@@ -1031,7 +1043,7 @@ impl<'e, 'w> Txn<'e, 'w> {
         }
         // The commit record is durable (or in the persistence domain):
         // this is the transaction's commit point.
-        #[cfg(feature = "persist-check")]
+        #[cfg(feature = "trace")]
         self.e.dev.trace_emit(Event::TxnCommit {
             thread: self.w.ctx.thread_id,
             tid,
@@ -1236,14 +1248,14 @@ impl<'e, 'w> Txn<'e, 'w> {
         let ap = self.w.ctx.attr_phase(Phase::CommitFence as usize);
         self.e.dev.sfence(&mut self.w.ctx);
         let wm = self.e.watermark_addr(self.w.thread);
-        #[cfg(feature = "persist-check")]
+        #[cfg(feature = "trace")]
         self.e.dev.trace_emit(Event::CommitRecord {
             thread: self.w.ctx.thread_id,
             addr: wm.0,
         });
         self.e.dev.store_u64(wm, tid, &mut self.w.ctx);
         if self.e.cfg.flush != FlushPolicy::None {
-            #[cfg(feature = "persist-check")]
+            #[cfg(feature = "trace")]
             self.e.dev.trace_emit(Event::DurableHint {
                 thread: self.w.ctx.thread_id,
                 addr: wm.0,
@@ -1255,7 +1267,7 @@ impl<'e, 'w> Txn<'e, 'w> {
         let fence_dt = self.w.ctx.clock - fence_t0;
         self.w.obs.phase_add(Phase::CommitFence, fence_dt);
         self.w.ctx.attr_phase(ap);
-        #[cfg(feature = "persist-check")]
+        #[cfg(feature = "trace")]
         self.e.dev.trace_emit(Event::TxnCommit {
             thread: self.w.ctx.thread_id,
             tid,
@@ -1370,9 +1382,7 @@ impl<'e, 'w> Txn<'e, 'w> {
         let mut line = start & !63;
         let last = (start + len - 1) & !63;
         while line <= last {
-            if self.w.ckpt_dirty.len() >= self.e.cfg.ckpt_dirty_cap
-                && !self.w.ckpt_dirty.contains(&line)
-            {
+            if self.w.ckpt_dirty.len() >= CKPT_DIRTY_CAP && !self.w.ckpt_dirty.contains(&line) {
                 self.e.dev.clwb_if_adr(PAddr(line), &mut self.w.ctx);
             } else {
                 self.w.ckpt_dirty.insert(line);
@@ -1397,7 +1407,7 @@ impl<'e, 'w> Txn<'e, 'w> {
 
     /// Announce a durable-intent range to the persistency checker just
     /// before flushing it (R2 coverage).
-    #[cfg(feature = "persist-check")]
+    #[cfg(feature = "trace")]
     fn hint_flush(&mut self, addr: u64, len: u64) {
         self.e.dev.trace_emit(Event::DurableHint {
             thread: self.w.ctx.thread_id,
@@ -1406,7 +1416,7 @@ impl<'e, 'w> Txn<'e, 'w> {
         });
     }
 
-    #[cfg(not(feature = "persist-check"))]
+    #[cfg(not(feature = "trace"))]
     fn hint_flush(&mut self, _addr: u64, _len: u64) {}
 
     fn release_read_locks(&mut self) {

@@ -52,7 +52,6 @@ struct Arena {
     /// Slots in creation order == `end_ts` order (per-thread TIDs are
     /// monotonic).
     queue: VecDeque<u32>,
-    #[cfg(feature = "obs")]
     obs: (u64, u64), // (allocs, frees)
 }
 
@@ -85,7 +84,6 @@ impl VersionHeap {
                     slots: Vec::new(),
                     free: Vec::new(),
                     queue: VecDeque::new(),
-                    #[cfg(feature = "obs")]
                     obs: (0, 0),
                 })
             })
@@ -140,10 +138,7 @@ impl VersionHeap {
         }
         let gen = s.gen.load(Ordering::Relaxed) as u8;
         a.queue.push_back(slot);
-        #[cfg(feature = "obs")]
-        {
-            a.obs.0 += 1;
-        }
+        a.obs.0 += 1;
         pack_ref(self.epoch, thread, gen, slot)
     }
 
@@ -200,22 +195,17 @@ impl VersionHeap {
             a.free.push(front);
             n += 1;
         }
-        #[cfg(feature = "obs")]
-        {
-            a.obs.1 += n as u64;
-        }
+        a.obs.1 += n as u64;
         n
     }
 
     /// Observability counters for `thread`'s arena: `(allocs, frees)`
     /// since the last [`VersionHeap::obs_reset`].
-    #[cfg(feature = "obs")]
     pub fn obs_counts(&self, thread: usize) -> (u64, u64) {
         self.arenas[thread].lock().obs
     }
 
     /// Zero `thread`'s observability counters (e.g. after warmup).
-    #[cfg(feature = "obs")]
     pub fn obs_reset(&self, thread: usize) {
         self.arenas[thread].lock().obs = (0, 0);
     }

@@ -34,7 +34,7 @@ fn row(k: u64, tag: u8) -> Vec<u8> {
 fn fresh(cfg: &EngineConfig) -> (PmemDevice, Engine) {
     let dev = PmemDevice::new(SimConfig::small().with_capacity(256 << 20)).unwrap();
     let e = Engine::create(dev.clone(), cfg.clone(), &[kv_def()]).unwrap();
-    #[cfg(feature = "persist-check")]
+    #[cfg(feature = "trace")]
     dev.trace_start();
     (dev, e)
 }
@@ -101,7 +101,7 @@ fn committed_work_survives_crash_every_engine() {
         assert_eq!(read_tag(&e2, 100).unwrap(), 7, "{name}");
         // The whole history — workload, crash, recovery, new work —
         // obeys the persistency-order rules (trivially under eADR).
-        #[cfg(feature = "persist-check")]
+        #[cfg(feature = "trace")]
         falcon_check::check(&e2.device().trace_take()).assert_clean();
     }
 }

@@ -33,20 +33,20 @@ fn row(k: u64, tag: u8) -> Vec<u8> {
 fn engine(cfg: EngineConfig) -> Engine {
     let dev = PmemDevice::new(SimConfig::small().with_capacity(256 << 20)).unwrap();
     let e = Engine::create(dev, cfg, &[kv_def(IndexKind::Hash)]).unwrap();
-    #[cfg(feature = "persist-check")]
+    #[cfg(feature = "trace")]
     e.device().trace_start();
     e
 }
 
-/// With `persist-check` on, verify the event trace recorded since
+/// With `trace` on, verify the event trace recorded since
 /// engine creation violates no persistency-order rule (trivial under
 /// eADR — the point is that no rule misfires on real engine traces).
-#[cfg(feature = "persist-check")]
+#[cfg(feature = "trace")]
 fn assert_persist_clean(e: &Engine) {
     falcon_check::check(&e.device().trace_take()).assert_clean();
 }
 
-#[cfg(not(feature = "persist-check"))]
+#[cfg(not(feature = "trace"))]
 fn assert_persist_clean(_e: &Engine) {}
 
 fn all_engines() -> Vec<EngineConfig> {

@@ -1,12 +1,11 @@
-//! Engine-level persistency-order checks (requires `--features
-//! persist-check`).
+//! Engine-level persistency-order checks (requires `--features trace`).
 //!
 //! The ADR-correct engines (conventional NVM log + flush-all) must
 //! produce clean traces on an ADR device; Falcon's small log window
 //! deliberately relies on a persistent cache, so running it on ADR
 //! must make the checker fire R1 — the checker catches a real
 //! platform/engine mismatch, not just synthetic traces.
-#![cfg(feature = "persist-check")]
+#![cfg(feature = "trace")]
 
 use falcon_core::table::{IndexKind, TableDef};
 use falcon_core::{Engine, EngineConfig};

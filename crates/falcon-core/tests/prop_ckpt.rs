@@ -88,20 +88,17 @@ proptest! {
         // The stall counters reconcile with the window's own
         // full-stall count: every backpressure stall consumed exactly
         // one LogOverflow that the window also counted.
-        #[cfg(feature = "obs")]
-        {
-            let es = e.collect_obs(&w);
-            prop_assert!(
-                es.ckpt_backpressure_stalls <= es.log_full_stalls,
-                "stalls {} > window full stalls {}",
-                es.ckpt_backpressure_stalls,
-                es.log_full_stalls
-            );
-            prop_assert_eq!(es.ckpt_published, s.published);
-            prop_assert_eq!(es.spill_bytes_truncated, s.spill_bytes_truncated);
-            prop_assert_eq!(es.commits, bursts.len() as u64);
-            prop_assert_eq!(es.aborts, 0, "no burst may abort");
-        }
+        let es = e.collect_obs(&w);
+        prop_assert!(
+            es.ckpt_backpressure_stalls <= es.log_full_stalls,
+            "stalls {} > window full stalls {}",
+            es.ckpt_backpressure_stalls,
+            es.log_full_stalls
+        );
+        prop_assert_eq!(es.ckpt_published, s.published);
+        prop_assert_eq!(es.spill_bytes_truncated, s.spill_bytes_truncated);
+        prop_assert_eq!(es.commits, bursts.len() as u64);
+        prop_assert_eq!(es.aborts, 0, "no burst may abort");
 
         // Nothing was dropped: every committed row reads back, live...
         for &key in &committed {

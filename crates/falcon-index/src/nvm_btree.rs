@@ -84,10 +84,10 @@ const R_SPLITTING: u64 = 40;
 const R_FREE: u64 = 48;
 
 /// Pseudo-thread offset for the split's analyzer transaction: the trace
-/// events a split emits under `persist-check` use a disjoint thread id
+/// events a split emits under `trace` use a disjoint thread id
 /// so they can never clobber the per-thread transaction state of an
 /// engine-level transaction recorded on the real thread.
-#[cfg(feature = "persist-check")]
+#[cfg(feature = "trace")]
 const SPLIT_THREAD_OFFSET: usize = 1 << 20;
 
 /// The NBTree-style B+tree.
@@ -100,13 +100,13 @@ pub struct NbTree {
     repairs: AtomicU64,
     /// Fault injection: skip the n-th protected write-back
     /// (`u64::MAX` = disabled).
-    #[cfg(feature = "persist-check")]
+    #[cfg(feature = "trace")]
     skip_wb: AtomicU64,
     /// Fault injection: skip the next split commit fence.
-    #[cfg(feature = "persist-check")]
+    #[cfg(feature = "trace")]
     skip_fence: std::sync::atomic::AtomicBool,
     /// Monotonic id source for split pseudo-transactions.
-    #[cfg(feature = "persist-check")]
+    #[cfg(feature = "trace")]
     split_seq: AtomicU64,
 }
 
@@ -172,11 +172,11 @@ impl NbTree {
                 .with_free_list(root_slot.add(R_FREE)),
             tree_lock: RwLock::new(()),
             repairs: AtomicU64::new(0),
-            #[cfg(feature = "persist-check")]
+            #[cfg(feature = "trace")]
             skip_wb: AtomicU64::new(u64::MAX),
-            #[cfg(feature = "persist-check")]
+            #[cfg(feature = "trace")]
             skip_fence: std::sync::atomic::AtomicBool::new(false),
-            #[cfg(feature = "persist-check")]
+            #[cfg(feature = "trace")]
             split_seq: AtomicU64::new(0),
         }
     }
@@ -186,12 +186,12 @@ impl NbTree {
     // ------------------------------------------------------------------
 
     /// The one protected write-back primitive: announce durable intent
-    /// for `[addr, addr+len)` to the trace (under `persist-check`), then
+    /// for `[addr, addr+len)` to the trace (under `trace`), then
     /// write the range back when the domain is ADR. Every flush of the
     /// mutation paths funnels through here so the analyzer sees the
     /// intent and the fault-injection hook can drop exactly one.
     fn wbr(&self, addr: PAddr, len: u64, ctx: &mut MemCtx) {
-        #[cfg(feature = "persist-check")]
+        #[cfg(feature = "trace")]
         {
             self.dev.trace_emit(pmem_sim::trace::Event::DurableHint {
                 thread: ctx.thread_id,
@@ -222,14 +222,14 @@ impl NbTree {
 
     /// The split commit fence (R3-checked; skippable by fault injection).
     fn split_fence(&self, ctx: &mut MemCtx) {
-        #[cfg(feature = "persist-check")]
+        #[cfg(feature = "trace")]
         if self.skip_fence.swap(false, Ordering::Relaxed) {
             return;
         }
         self.fence_if_adr(ctx);
     }
 
-    #[cfg(feature = "persist-check")]
+    #[cfg(feature = "trace")]
     fn take_injected_skip(&self) -> bool {
         match self.skip_wb.load(Ordering::Relaxed) {
             u64::MAX => false,
@@ -245,14 +245,14 @@ impl NbTree {
     }
 
     // ------------------------------------------------------------------
-    // Split pseudo-transaction trace markers (persist-check only).
+    // Split pseudo-transaction trace markers (`trace` only).
     // ------------------------------------------------------------------
 
     /// Open the split's analyzer transaction: switch the context to the
     /// split pseudo-thread and emit `TxnBegin`, so rules R1/R3 check the
     /// split's stores, write-backs, and fences in isolation.
     fn t_split_begin(&self, ctx: &mut MemCtx) {
-        #[cfg(feature = "persist-check")]
+        #[cfg(feature = "trace")]
         {
             ctx.thread_id += SPLIT_THREAD_OFFSET;
             let tid = self.split_seq.fetch_add(1, Ordering::Relaxed) | (1 << 63);
@@ -267,7 +267,7 @@ impl NbTree {
     /// Register `[addr, addr+len)` as split-transaction log state (R1
     /// requires it durable when the flag clears).
     fn t_log(&self, addr: PAddr, len: u64, ctx: &mut MemCtx) {
-        #[cfg(feature = "persist-check")]
+        #[cfg(feature = "trace")]
         self.dev.trace_emit(pmem_sim::trace::Event::LogRange {
             thread: ctx.thread_id,
             addr: addr.0,
@@ -279,7 +279,7 @@ impl NbTree {
     /// Announce the flag-clear store as the split's commit record (R3
     /// requires a fence between it and the split's structural stores).
     fn t_commit_record(&self, addr: PAddr, ctx: &mut MemCtx) {
-        #[cfg(feature = "persist-check")]
+        #[cfg(feature = "trace")]
         self.dev.trace_emit(pmem_sim::trace::Event::CommitRecord {
             thread: ctx.thread_id,
             addr: addr.0,
@@ -290,7 +290,7 @@ impl NbTree {
     /// Close the split's analyzer transaction and restore the caller's
     /// thread id.
     fn t_split_end(&self, ctx: &mut MemCtx) {
-        #[cfg(feature = "persist-check")]
+        #[cfg(feature = "trace")]
         {
             let tid = (self.split_seq.load(Ordering::Relaxed) - 1) | (1 << 63);
             self.dev.trace_emit(pmem_sim::trace::Event::TxnCommit {
@@ -785,7 +785,7 @@ pub fn sever_leaf_chain(dev: &PmemDevice, root_slot: PAddr, ctx: &mut MemCtx) ->
 }
 
 /// Fault-injection hooks for the persistency-order tests.
-#[cfg(feature = "persist-check")]
+#[cfg(feature = "trace")]
 impl NbTree {
     /// Drop the `n`-th protected write-back from now (0 = the very next
     /// one). The durable-intent hint is still emitted, so the analyzer

@@ -1,4 +1,4 @@
-//! Crash-image sweep for B⁺-tree splits (`--features persist-check`).
+//! Crash-image sweep for B⁺-tree splits (`--features trace`).
 //!
 //! Brute-force replay: fill an ADR-domain tree to the brink of a split,
 //! calibrate how many device events the triggering insert emits, then
@@ -13,7 +13,7 @@
 //! rather than hard-coding node capacity, so the test tracks layout
 //! changes automatically.
 
-#![cfg(feature = "persist-check")]
+#![cfg(feature = "trace")]
 
 use proptest::prelude::*;
 

@@ -104,7 +104,7 @@ impl CostMatrix {
         out
     }
 
-    /// The `phase_cost` JSON section of an obs-v4 report: row objects
+    /// The `phase_cost` JSON section of a run report: row objects
     /// keyed by transaction type, each mapping phase names to non-empty
     /// cost cells, plus the per-phase and grand totals.
     pub fn to_json(&self) -> Value {

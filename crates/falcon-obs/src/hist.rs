@@ -77,9 +77,19 @@ impl Histogram {
     /// Record one sample.
     #[inline]
     pub fn record(&mut self, v: u64) {
-        self.buckets[bucket_of(v)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
+        self.record_n(v, 1);
+    }
+
+    /// Record `n` samples of the same value; exactly what `n` calls of
+    /// [`Histogram::record`] leave behind.
+    #[inline]
+    pub fn record_n(&mut self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[bucket_of(v)] += n;
+        self.count += n;
+        self.sum = self.sum.saturating_add(v.saturating_mul(n));
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }

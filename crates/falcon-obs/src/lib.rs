@@ -15,9 +15,9 @@
 //!   merging `EngineStats` + `DeviceStats` + histograms, written under
 //!   `results/` and printable as a table.
 //!
-//! falcon-core depends on this crate only under its `obs` feature and
-//! substitutes a zero-sized stub otherwise, so instrumentation costs
-//! nothing when disabled. See DESIGN.md §10.
+//! All of it is compiled into every build: the numbers a report shows
+//! come from the same binary whose speed is published. See DESIGN.md
+//! §10.
 
 pub mod cost;
 pub mod hist;

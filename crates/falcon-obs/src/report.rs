@@ -11,26 +11,9 @@ use crate::{EngineStats, ObsRun, Phase, ServerStats};
 use pmem_sim::DeviceStats;
 use serde_json::{json, Value};
 
-/// Schema identifier embedded in every report.
-pub const SCHEMA: &str = "falcon-obs/v1";
-/// Monotonic schema version; bump on any field change.
-/// v2: recovery section gained `torn_records`, `corrupt_records`,
-/// `windows_salvaged` (chaos crash-injection plane).
-/// v3: optional `race` section — happens-before analysis summary from
-/// the concurrency-correctness plane (falcon-race).
-/// v4: optional `phase_cost` section — the (txn_type × phase)
-/// device-cost matrix from the attribution plane — and the log-window
-/// block gained `spill_bytes`.
-/// v5: engine gained a `checkpoint` block (epochs published, dirty-set
-/// write-backs and peak, backpressure stalls, spill truncation); the
-/// recovery section gained `spill_bytes_scanned`, `spill_records_scanned`,
-/// `spill_truncated_refs`, `spill_bytes_truncated`, `ckpt_epoch`, and
-/// `ckpt_meta_corrupt`; `phase_cost` gained the `checkpoint` column.
-/// v6: engine gained a `group_commit` block (fences, txns covered,
-/// batch peak); phases gained `group_fence`; optional `server` section
-/// (admission/shed/timeout/retry/batch-occupancy counters from the
-/// serving layer).
-pub const SCHEMA_VERSION: u64 = 6;
+/// The one schema identifier every report carries (`schema_version`);
+/// bump on any field change. DESIGN.md §10 documents the fields.
+pub const SCHEMA_VERSION: u64 = 7;
 
 /// Identifying metadata for one run.
 #[derive(Debug, Clone, Default)]
@@ -253,7 +236,6 @@ impl RunReport {
             .collect();
 
         let mut obj = vec![
-            ("schema".to_string(), Value::from(SCHEMA)),
             ("schema_version".to_string(), Value::from(SCHEMA_VERSION)),
             (
                 "meta".to_string(),
@@ -628,8 +610,7 @@ mod tests {
     fn json_has_schema_and_sections() {
         let v = sample_report().to_json();
         let s = serde_json::to_string_pretty(&v).unwrap();
-        assert!(s.contains("\"schema\": \"falcon-obs/v1\""));
-        assert!(s.contains("\"schema_version\": 6"));
+        assert!(!s.contains("\"schema\""), "one identifier only:\n{s}");
         for key in [
             "group_commit",
             "server",
@@ -673,7 +654,10 @@ mod tests {
         ] {
             assert!(s.contains(&format!("\"{key}\"")), "missing {key}:\n{s}");
         }
-        assert_eq!(v.get("schema").and_then(Value::as_str), Some(SCHEMA));
+        assert_eq!(
+            v.get("schema_version").and_then(Value::as_u64),
+            Some(SCHEMA_VERSION)
+        );
         assert_eq!(
             v.get("run")
                 .and_then(|r| r.get("dropped"))

@@ -81,6 +81,23 @@ proptest! {
         ha.merge(&hb);
         prop_assert_eq!(ha, hc);
     }
+
+    /// A bulk record equals that many single records, saturated sum
+    /// included.
+    #[test]
+    fn record_n_equals_repeated_record(before in vec(sample(), 0..20), v in sample(), n in 0u64..40) {
+        let mut bulk = Histogram::new();
+        let mut single = Histogram::new();
+        for &b in &before {
+            bulk.record(b);
+            single.record(b);
+        }
+        bulk.record_n(v, n);
+        for _ in 0..n {
+            single.record(v);
+        }
+        prop_assert_eq!(bulk, single);
+    }
 }
 
 /// Exhaustive (not sampled): the bucket lattice tiles `u64` with no

@@ -146,7 +146,7 @@ impl RaceReport {
     }
 
     /// Condense into the falcon-obs run-report summary (the optional
-    /// `race` section of the schema-v3 JSON document).
+    /// `race` section of the JSON document).
     #[must_use]
     pub fn summary(&self) -> falcon_obs::report::RaceCheckSummary {
         falcon_obs::report::RaceCheckSummary {

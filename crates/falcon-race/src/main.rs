@@ -96,8 +96,8 @@ fn run_smokes(summaries: &mut Vec<serde_json::Value>) -> bool {
             r.retries,
             if clean { "clean" } else { "VIOLATION" }
         );
-        // Same shape as the `race` section of the falcon-obs schema-v3
-        // run report, keyed by smoke label.
+        // Same shape as the `race` section of the falcon-obs run
+        // report, keyed by smoke label.
         let s = r.report.summary();
         summaries.push(serde_json::json!({
             "label": label,

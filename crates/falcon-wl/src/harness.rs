@@ -18,7 +18,6 @@ use rand::SeedableRng;
 use falcon_core::retry::mix64;
 use falcon_core::table::TableDef;
 use falcon_core::{device_capacity_for, Engine, EngineConfig, RetryPolicy, TxnError, Worker};
-#[cfg(feature = "obs")]
 use falcon_obs::{cost::COST_COLS, AbortCause, CostMatrix, ObsRun};
 use pmem_sim::{PmemDevice, SimConfig};
 
@@ -107,7 +106,6 @@ pub struct RunResult {
     pub stats: DeviceStats,
     /// Engine observability: merged per-worker counters plus
     /// per-transaction-type latency and phase histograms.
-    #[cfg(feature = "obs")]
     pub obs: ObsRun,
 }
 
@@ -163,7 +161,6 @@ pub fn run(engine: &Engine, workload: &dyn Workload, cfg: &RunConfig) -> RunResu
         committed: u64,
         dropped: u64,
         lat: Vec<Vec<u64>>,
-        #[cfg(feature = "obs")]
         obs: ObsRun,
     }
 
@@ -196,15 +193,12 @@ pub fn run(engine: &Engine, workload: &dyn Workload, cfg: &RunConfig) -> RunResu
                     pacer.pace(t, w.ctx.clock);
                 }
                 w.reset_clock();
-                #[cfg(feature = "obs")]
                 engine.obs_reset(&mut w);
-                #[cfg(feature = "obs")]
                 let mut obs = ObsRun::new(workload.txn_types());
                 // Attribute device events to (txn_type, phase) from the
                 // same instant the stats reset, so the matrix total
                 // equals exactly what `w.ctx.stats` counts. Row ntypes
                 // is the catch-all for dropped attempts and GC.
-                #[cfg(feature = "obs")]
                 w.ctx.attr_enable(ntypes + 1, COST_COLS);
 
                 let mut committed = 0u64;
@@ -217,25 +211,24 @@ pub fn run(engine: &Engine, workload: &dyn Workload, cfg: &RunConfig) -> RunResu
                             Ok(ty) => {
                                 let dt = w.ctx.clock - start;
                                 lat[ty].push(dt);
-                                #[cfg(feature = "obs")]
-                                {
-                                    let spans = w.obs.take_pending();
-                                    let tobs = &mut obs.types[ty];
-                                    tobs.latency.record(dt);
-                                    for (i, ns) in spans.iter().enumerate() {
-                                        tobs.phases[i].record(*ns);
+                                // A phase that did not run is a zero
+                                // sample; those are added in one step
+                                // when the worker finishes.
+                                let spans = w.obs.take_pending();
+                                for (h, ns) in obs.types[ty].phases.iter_mut().zip(spans) {
+                                    if ns != 0 {
+                                        h.record(ns);
                                     }
-                                    // Charge the slot's cost — aborted
-                                    // retries included, matching the
-                                    // latency accounting — to the
-                                    // committed type.
-                                    w.ctx.attr_fold(ty);
                                 }
+                                // Charge the slot's cost — aborted
+                                // retries included, matching the
+                                // latency accounting — to the
+                                // committed type.
+                                w.ctx.attr_fold(ty);
                                 committed += 1;
                                 break;
                             }
                             Err(e) if e.transient() => {
-                                #[cfg(feature = "obs")]
                                 w.obs.abort_cause(match e {
                                     TxnError::Conflict => AbortCause::Conflict,
                                     TxnError::Duplicate => AbortCause::Duplicate,
@@ -243,8 +236,6 @@ pub fn run(engine: &Engine, workload: &dyn Workload, cfg: &RunConfig) -> RunResu
                                     TxnError::LogOverflow => AbortCause::LogOverflow,
                                     _ => AbortCause::Other,
                                 });
-                                #[cfg(not(feature = "obs"))]
-                                let _ = e;
                                 aborted += 1;
                                 attempts += 1;
                                 if !cfg.retry.allows(attempts) {
@@ -253,11 +244,8 @@ pub fn run(engine: &Engine, workload: &dyn Workload, cfg: &RunConfig) -> RunResu
                                     // phase spans the doomed attempts
                                     // accrued.
                                     dropped += 1;
-                                    #[cfg(feature = "obs")]
-                                    {
-                                        w.obs.clear_pending();
-                                        w.ctx.attr_fold(ntypes);
-                                    }
+                                    w.obs.clear_pending();
+                                    w.ctx.attr_fold(ntypes);
                                     break;
                                 }
                                 // Jittered-exponential backoff on the
@@ -273,18 +261,22 @@ pub fn run(engine: &Engine, workload: &dyn Workload, cfg: &RunConfig) -> RunResu
                     }
                     engine.maybe_gc(&mut w);
                     // GC runs on no transaction's behalf: catch-all row.
-                    #[cfg(feature = "obs")]
                     w.ctx.attr_fold(ntypes);
                     pacer.pace(t, w.ctx.clock);
                 }
                 pacer.finish(t);
                 aborted_total.fetch_add(aborted, Ordering::Relaxed);
-                #[cfg(feature = "obs")]
-                {
-                    obs.engine = engine.collect_obs(&w);
-                    if let Some(m) = w.ctx.attr_take() {
-                        obs.cost = Some(CostMatrix::from_matrix(workload.txn_types(), m));
+                for (tobs, samples) in obs.types.iter_mut().zip(&lat) {
+                    for &dt in samples {
+                        tobs.latency.record(dt);
                     }
+                    for h in &mut tobs.phases {
+                        h.record_n(0, samples.len() as u64 - h.count());
+                    }
+                }
+                obs.engine = engine.collect_obs(&w);
+                if let Some(m) = w.ctx.attr_take() {
+                    obs.cost = Some(CostMatrix::from_matrix(workload.txn_types(), m));
                 }
                 ThreadOut {
                     clock: w.ctx.clock,
@@ -292,7 +284,6 @@ pub fn run(engine: &Engine, workload: &dyn Workload, cfg: &RunConfig) -> RunResu
                     committed,
                     dropped,
                     lat,
-                    #[cfg(feature = "obs")]
                     obs,
                 }
             }));
@@ -306,14 +297,10 @@ pub fn run(engine: &Engine, workload: &dyn Workload, cfg: &RunConfig) -> RunResu
     let committed: u64 = outs.iter().map(|o| o.committed).sum();
     let dropped: u64 = outs.iter().map(|o| o.dropped).sum();
     let elapsed_ns = outs.iter().map(|o| o.clock).max().unwrap_or(0);
-    #[cfg(feature = "obs")]
-    let obs = {
-        let mut merged = ObsRun::new(workload.txn_types());
-        for o in &outs {
-            merged.merge(&o.obs);
-        }
-        merged
-    };
+    let mut obs = ObsRun::new(workload.txn_types());
+    for o in &outs {
+        obs.merge(&o.obs);
+    }
     let stats = DeviceStats::aggregate(outs.iter().map(|o| &o.stats));
     let mut latency = Vec::with_capacity(ntypes);
     for (ty, name) in workload.txn_types().iter().enumerate() {
@@ -349,20 +336,19 @@ pub fn run(engine: &Engine, workload: &dyn Workload, cfg: &RunConfig) -> RunResu
         txn_per_sec,
         latency,
         stats,
-        #[cfg(feature = "obs")]
         obs,
     }
 }
 
 /// Run the workload with race-mode tracing live and analyze the trace
-/// with falcon-race's happens-before detector (feature `race-check`).
+/// with falcon-race's happens-before detector (feature `trace`).
 ///
 /// The whole measurement phase — every worker thread — is recorded;
 /// the returned report covers data races, lock discipline, and the
 /// cross-thread persist-order rule R5. Traces grow with `threads ×
 /// txns_per_thread`, so race-checked runs should use the small
 /// configurations the check.sh gate uses, not benchmark scale.
-#[cfg(feature = "race-check")]
+#[cfg(feature = "trace")]
 pub fn run_race_checked(
     engine: &Engine,
     workload: &dyn Workload,
@@ -396,7 +382,6 @@ mod tests {
             txn_per_sec: 1e9,
             latency: vec![],
             stats: DeviceStats::default(),
-            #[cfg(feature = "obs")]
             obs: ObsRun::default(),
         };
         assert!((r.mtps() - 1e3).abs() < 1e-9);

@@ -21,7 +21,7 @@ pub mod tpcc;
 pub mod ycsb;
 pub mod zipf;
 
-#[cfg(feature = "race-check")]
+#[cfg(feature = "trace")]
 pub use harness::run_race_checked;
 pub use harness::{run, RunConfig, RunResult, Workload};
 pub use tpcc::{Tpcc, TpccScale};

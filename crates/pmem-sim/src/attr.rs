@@ -8,7 +8,8 @@
 //! and virtual clock, and at every phase boundary the delta since the
 //! mark is charged to the currently selected column. Hot-path device
 //! code is untouched — attribution costs a handful of u64 subtractions
-//! per phase transition, and a single `Option` check when disabled.
+//! per phase transition that saw any activity, nothing for one that saw
+//! none, and a single `Option` check when disabled.
 //!
 //! Rows and columns are plain indices here; the caller assigns meaning
 //! (rows = transaction types, columns = phases). By convention the
@@ -142,21 +143,34 @@ impl AttrMatrix {
 /// caller folds it into a matrix row once the attempt's row (the
 /// transaction type) is known. `mark_*` snapshot the thread counters at
 /// the last phase boundary.
+///
+/// This runs on every transaction of every build, so both operations
+/// do work only for what moved: `flush` returns at once when neither
+/// the clock nor a counter changed since the mark, and `fold` visits
+/// only the columns `flush` charged since the last fold (`touched`, one
+/// bit per column) instead of comparing every pending cell with zero.
 #[derive(Debug, Clone)]
 pub(crate) struct AttrState {
     pub(crate) matrix: AttrMatrix,
-    pub(crate) pending: Vec<AttrCell>,
+    pending: Vec<AttrCell>,
+    /// Bit `c` is set iff `pending[c]` was charged since the last fold.
+    touched: u64,
     /// Currently selected column (defaults to the last, "unphased").
     pub(crate) cur: usize,
-    pub(crate) mark_stats: ThreadStats,
-    pub(crate) mark_clock: u64,
+    mark_stats: ThreadStats,
+    mark_clock: u64,
 }
 
 impl AttrState {
     pub(crate) fn new(rows: usize, cols: usize, stats: ThreadStats, clock: u64) -> Self {
+        assert!(
+            cols <= u64::BITS as usize,
+            "attribution tracks touched columns in one u64"
+        );
         AttrState {
             matrix: AttrMatrix::new(rows, cols),
             pending: vec![AttrCell::default(); cols],
+            touched: 0,
             cur: cols - 1,
             mark_stats: stats,
             mark_clock: clock,
@@ -166,23 +180,26 @@ impl AttrState {
     /// Charge the delta since the last mark to the current column and
     /// advance the mark.
     pub(crate) fn flush(&mut self, stats: &ThreadStats, clock: u64) {
+        if clock == self.mark_clock && *stats == self.mark_stats {
+            return;
+        }
         let mut delta = *stats;
         delta -= self.mark_stats;
-        self.pending[self.cur] += AttrCell {
-            stats: delta,
-            ns: clock - self.mark_clock,
-        };
+        let cell = &mut self.pending[self.cur];
+        cell.stats += delta;
+        cell.ns += clock - self.mark_clock;
+        self.touched |= 1 << self.cur;
         self.mark_stats = *stats;
         self.mark_clock = clock;
     }
 
     /// Fold the pending per-column cells into matrix row `row`.
     pub(crate) fn fold(&mut self, row: usize) {
-        for (col, cell) in self.pending.iter_mut().enumerate() {
-            if !cell.is_zero() {
-                *self.matrix.cell_mut(row, col) += *cell;
-                *cell = AttrCell::default();
-            }
+        let mut touched = core::mem::take(&mut self.touched);
+        while touched != 0 {
+            let col = touched.trailing_zeros() as usize;
+            touched &= touched - 1;
+            *self.matrix.cell_mut(row, col) += core::mem::take(&mut self.pending[col]);
         }
     }
 }
@@ -190,6 +207,124 @@ impl AttrState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The oracle for [`AttrState`]: charge the delta unconditionally at
+    /// every flush, scan every pending column at every fold.
+    struct Reference {
+        matrix: AttrMatrix,
+        pending: Vec<AttrCell>,
+        cur: usize,
+        mark_stats: ThreadStats,
+        mark_clock: u64,
+    }
+
+    impl Reference {
+        fn flush(&mut self, stats: &ThreadStats, clock: u64) {
+            let mut delta = *stats;
+            delta -= self.mark_stats;
+            self.pending[self.cur] += AttrCell {
+                stats: delta,
+                ns: clock - self.mark_clock,
+            };
+            self.mark_stats = *stats;
+            self.mark_clock = clock;
+        }
+
+        fn fold(&mut self, row: usize) {
+            for (col, cell) in self.pending.iter_mut().enumerate() {
+                if !cell.is_zero() {
+                    *self.matrix.cell_mut(row, col) += *cell;
+                    *cell = AttrCell::default();
+                }
+            }
+        }
+    }
+
+    /// Random phase switches, folds and counter activity (including
+    /// switches and folds with no activity between them, clock-only and
+    /// counter-only steps) must leave the shipped state and the oracle
+    /// with identical matrices, cell for cell, at every fold.
+    #[test]
+    fn flush_and_fold_match_the_reference_on_random_sequences() {
+        for seed in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let rows = rng.random_range(1..=4usize);
+            let cols = rng.random_range(1..=9usize);
+            let mut stats = ThreadStats {
+                sfences: seed,
+                ..Default::default()
+            };
+            let mut clock = 1_000 + seed;
+            let mut st = AttrState::new(rows, cols, stats, clock);
+            let mut oracle = Reference {
+                matrix: AttrMatrix::new(rows, cols),
+                pending: vec![AttrCell::default(); cols],
+                cur: cols - 1,
+                mark_stats: stats,
+                mark_clock: clock,
+            };
+            for _ in 0..400 {
+                match rng.random_range(0..8u32) {
+                    // Device activity: some counters, usually the clock.
+                    0..=2 => {
+                        let fields = [
+                            &mut stats.accesses,
+                            &mut stats.cache_hits,
+                            &mut stats.cache_misses,
+                            &mut stats.fills_from_xpbuffer,
+                            &mut stats.evictions,
+                            &mut stats.clwb_writebacks,
+                            &mut stats.clwb_issued,
+                            &mut stats.sfences,
+                            &mut stats.media_block_writes,
+                            &mut stats.media_rmw,
+                            &mut stats.media_fill_reads,
+                            &mut stats.sfence_wait_ns,
+                            &mut stats.dram_accesses,
+                        ];
+                        for f in fields {
+                            if rng.random_range(0..4u32) == 0 {
+                                *f += rng.random_range(1..50u64);
+                            }
+                        }
+                        if rng.random_range(0..4u32) != 0 {
+                            clock += rng.random_range(1..500u64);
+                        }
+                    }
+                    // Clock only (backoff, CPU charge).
+                    3 => clock += rng.random_range(1..500u64),
+                    // Phase switch, possibly to the current column.
+                    4..=6 => {
+                        let col = rng.random_range(0..cols);
+                        if col != st.cur {
+                            st.flush(&stats, clock);
+                            st.cur = col;
+                        }
+                        if col != oracle.cur {
+                            oracle.flush(&stats, clock);
+                            oracle.cur = col;
+                        }
+                    }
+                    _ => {
+                        let row = rng.random_range(0..rows);
+                        st.flush(&stats, clock);
+                        st.fold(row);
+                        oracle.flush(&stats, clock);
+                        oracle.fold(row);
+                        assert_eq!(st.matrix, oracle.matrix, "seed {seed}");
+                        assert!(st.pending.iter().all(AttrCell::is_zero));
+                    }
+                }
+            }
+            st.flush(&stats, clock);
+            st.fold(rows - 1);
+            oracle.flush(&stats, clock);
+            oracle.fold(rows - 1);
+            assert_eq!(st.matrix, oracle.matrix, "seed {seed}");
+        }
+    }
 
     fn cell(ns: u64, sfences: u64) -> AttrCell {
         AttrCell {

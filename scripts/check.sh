@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full local gate: formatting, lints, and the test matrix in both
-# feature configurations. This is what CI runs; keep it green.
+# build configurations (default and `--features trace`). This is what
+# CI runs; keep it green.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,17 +23,10 @@ cargo fmt --all --check
 echo "==> cargo clippy (default features)"
 cargo clippy --all-targets -- -D warnings
 
-echo "==> cargo clippy (--features persist-check)"
-cargo clippy --all-targets --features persist-check -- -D warnings
-
-echo "==> cargo clippy (--features obs)"
-cargo clippy --all-targets --features obs -- -D warnings
-cargo clippy -p falcon-bench --all-targets --features obs -- -D warnings
-
-echo "==> cargo clippy (--features race-check)"
-cargo clippy --all-targets --features race-check -- -D warnings
-cargo clippy -p falcon-race --all-targets -- -D warnings
-cargo clippy -p falcon-wl --all-targets --features race-check -- -D warnings
+echo "==> cargo clippy (--features trace)"
+# Feature unification turns `trace` on in every workspace crate that
+# has it (falcon-wl, falcon-core, falcon-index, pmem-sim).
+cargo clippy --all-targets --features trace -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --release
@@ -40,21 +34,11 @@ cargo build --release
 echo "==> cargo test (default features)"
 cargo test -q
 
-echo "==> cargo test (--features persist-check)"
-cargo test -q --features persist-check
-cargo test -q -p falcon-core --features persist-check
+echo "==> cargo test (--features trace)"
+cargo test -q --features trace
 # Release: the btree split crash-image sweeps brute-force every cut
 # point of a leaf and an inner split and are debug-slow.
-cargo test -q --release -p falcon-index --features persist-check
-
-echo "==> cargo test (--features obs)"
-cargo test -q --features obs
-cargo test -q -p falcon-wl --features obs
-cargo test -q -p falcon-obs
-
-echo "==> cargo test (--features race-check)"
-cargo test -q --features race-check
-cargo test -q -p falcon-race
+cargo test -q --release -p falcon-index --features trace
 
 echo "==> race sweep (bounded interleaving explorer + real-thread smoke workloads)"
 # Deterministic: every kernel's schedule space is enumerated with
@@ -120,11 +104,11 @@ echo "==> falcon-perf regression gate (tolerance ±$PERF_TOL)"
 # gate with a per-metric delta table (see DESIGN.md §13).
 BASELINE=$(ls bench/BENCH_*.json 2>/dev/null | sort | tail -1 || true)
 if [ -n "$BASELINE" ]; then
-    cargo run --release -q -p falcon-bench --features obs --bin falcon_perf -- \
+    cargo run --release -q -p falcon-bench --bin falcon_perf -- \
         check --against "$BASELINE" --tol "$PERF_TOL"
 else
     echo "SKIP (no baseline): commit one with" \
-        "'cargo run --release -p falcon-bench --features obs --bin falcon_perf --" \
+        "'cargo run --release -p falcon-bench --bin falcon_perf --" \
         "emit --label <pr> --out bench/BENCH_<pr>.json'"
 fi
 

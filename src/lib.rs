@@ -30,8 +30,7 @@ pub use falcon_wl as workloads;
 pub use pmem_sim as sim;
 
 /// Engine observability: counters, phase histograms, and the
-/// structured run reporter (the `obs` feature).
-#[cfg(feature = "obs")]
+/// structured run reporter.
 pub use falcon_obs as obs;
 
 pub use falcon_core::table::{IndexKind, TableDef};

@@ -1,5 +1,5 @@
 //! The checkpoint epoch publish under the persistency-order analyzer
-//! (requires `--features persist-check`).
+//! (requires `--features trace`).
 //!
 //! A boundary checkpoint publish runs as its own analyzer
 //! pseudo-transaction: the bank write is its logged state, the epoch
@@ -11,7 +11,7 @@
 //! FlushCoverage and CommitDurability, and a skipped pre-swing fence
 //! must raise FenceOrdering.
 
-#![cfg(feature = "persist-check")]
+#![cfg(feature = "trace")]
 
 use falcon_check::{check, Report, Rule};
 use falcon_core::checkpoint::{self, inject};

@@ -1,5 +1,5 @@
 //! End-to-end persistency-order checking over the *real* device
-//! recorder (requires `--features persist-check`).
+//! recorder (requires `--features trace`).
 //!
 //! Each test drives a `PmemDevice` through a hand-written commit
 //! protocol — correct, or with one injected fault (a skipped `clwb`, a
@@ -8,7 +8,7 @@
 //! the faultless twin stays clean. Unlike the synthetic-trace tests in
 //! `falcon-check`, these go through the actual recorder: the events the
 //! checker sees are whatever the device emitted.
-#![cfg(feature = "persist-check")]
+#![cfg(feature = "trace")]
 
 use falcon_check::{check, Event, LintKind, Report, Rule};
 use pmem_sim::{MemCtx, PAddr, PersistDomain, PmemDevice, SimConfig};

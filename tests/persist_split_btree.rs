@@ -1,5 +1,5 @@
 //! The B⁺-tree split protocol under the persistency-order analyzer
-//! (requires `--features persist-check`).
+//! (requires `--features trace`).
 //!
 //! A split runs as its own analyzer pseudo-transaction: the raised
 //! `splitting` flag plays the log header, the new nodes and the pointer
@@ -11,7 +11,7 @@
 //! CommitDurability, and a skipped commit fence must raise
 //! FenceOrdering.
 
-#![cfg(feature = "persist-check")]
+#![cfg(feature = "trace")]
 
 use falcon_check::{check, Report, Rule};
 use falcon_index::{Index, NbTree};

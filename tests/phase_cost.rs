@@ -1,14 +1,13 @@
-//! Acceptance test for the cost-attribution plane (obs-v4): the
+//! Acceptance test for the cost-attribution plane: the
 //! (txn_type × phase) matrix must account for *every* device event the
 //! run's `DeviceStats` counted — nothing lost, nothing double-charged —
 //! across both commit disciplines (in-place Falcon/Inp and
 //! out-of-place Outp/ZenS), and the folded-stack emitter must produce
 //! well-formed `frame;frame;frame value` lines.
 
-#![cfg(feature = "obs")]
-
 use falcon::engine::{CcAlgo, EngineConfig};
 use falcon::workloads::harness::{build_engine, run, RunConfig, RunResult, Workload};
+use falcon::workloads::tpcc::{Tpcc, TpccScale};
 use falcon::workloads::ycsb::{Dist, Ycsb, YcsbConfig, YcsbWorkload};
 
 fn ycsb_run(cfg: EngineConfig, cc: CcAlgo) -> RunResult {
@@ -27,6 +26,29 @@ fn ycsb_run(cfg: EngineConfig, cc: CcAlgo) -> RunResult {
     );
     y.setup(&engine);
     run(&engine, &y, &rc)
+}
+
+/// Two-worker TPC-C on Falcon: five transaction types, scans, inserts
+/// and deletes, conflicts and spec rollbacks, so every row of the
+/// matrix and the catch-all are in play.
+fn tpcc_run() -> RunResult {
+    let rc = RunConfig {
+        threads: 2,
+        txns_per_thread: 150,
+        warmup_per_thread: 20,
+        ..RunConfig::default()
+    };
+    let t = Tpcc::new(TpccScale::tiny());
+    let engine = build_engine(
+        EngineConfig::falcon()
+            .with_cc(CcAlgo::Occ)
+            .with_threads(rc.threads),
+        &t.table_defs(),
+        t.scale().approx_bytes() * 2,
+        None,
+    );
+    t.setup(&engine);
+    run(&engine, &t, &rc)
 }
 
 /// The invariant: summing the matrix over all (type, phase) cells
@@ -65,6 +87,10 @@ fn matrix_accounts_for_every_device_event_in_place() {
     let row = cost.matrix().row_total(update_row);
     assert!(row.stats.sfences > 0, "update commits must fence");
     assert!(row.ns > 0);
+
+    let r = tpcc_run();
+    assert!(r.committed > 0);
+    assert_accounts_for_device(&r, "falcon/occ tpcc x2");
 }
 
 #[test]

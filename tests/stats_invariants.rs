@@ -51,7 +51,6 @@ fn device_counters_add_up_for_every_engine() {
 /// Checkpoint counters must reconcile with the device- and window-level
 /// counters they piggyback on, and the cost matrix must keep accounting
 /// for every device event with the Checkpoint phase in play.
-#[cfg(feature = "obs")]
 #[test]
 fn checkpoint_counters_reconcile_with_device_stats() {
     use falcon::obs::Phase;

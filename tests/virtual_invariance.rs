@@ -46,8 +46,11 @@ fn sim() -> Option<SimConfig> {
     Some(SimConfig::experiment().with_cache(512 << 10))
 }
 
-/// `(elapsed_ns, committed, stats)` of a run.
+/// `(elapsed_ns, committed, stats)` of a run. The engine's own commit
+/// counter must agree with the harness's: a counter that silently
+/// stopped counting would otherwise go unnoticed.
 fn virtual_metrics(r: &RunResult) -> (u64, u64, DeviceStats) {
+    assert_eq!(r.obs.engine.commits, r.committed, "dead commit counter");
     (r.elapsed_ns, r.committed, r.stats)
 }
 

@@ -3,7 +3,11 @@
 //! Legs (all run by default; select one with a flag):
 //!
 //! * `--smoke` — loopback smoke: pipelined mixed batch over TCP,
-//!   every response checked, graceful drain.
+//!   every response checked, the counters read over the wire (`STATS`)
+//!   checked against the drain report, graceful drain.
+//! * `--sync` — one synchronous caller alternating `Get` and `Put`:
+//!   every write fenced by itself, and both medians far below the
+//!   44 ms a Nagle / delayed-ACK stall on the reply path would cost.
 //! * `--overload` — 2× the admission cap: typed `Overloaded` sheds,
 //!   every request answered, zero panics.
 //! * `--netfaults` — seeded sweep of misbehaving clients (reset
@@ -21,9 +25,11 @@ use falcon_server::proto::{Op, Status, WriteOp};
 use falcon_server::{client::Client, serve, ServerConfig};
 use std::io;
 use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
 struct Args {
     smoke: bool,
+    sync: bool,
     overload: bool,
     netfaults: bool,
     rounds: u64,
@@ -33,6 +39,7 @@ struct Args {
 fn parse() -> Result<Args, String> {
     let mut a = Args {
         smoke: false,
+        sync: false,
         overload: false,
         netfaults: false,
         rounds: 12,
@@ -43,6 +50,7 @@ fn parse() -> Result<Args, String> {
         let mut val = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
         match f.as_str() {
             "--smoke" => a.smoke = true,
+            "--sync" => a.sync = true,
             "--overload" => a.overload = true,
             "--netfaults" => a.netfaults = true,
             "--rounds" => a.rounds = num(&val("--rounds")?)?,
@@ -50,8 +58,9 @@ fn parse() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if !(a.smoke || a.overload || a.netfaults) {
+    if !(a.smoke || a.sync || a.overload || a.netfaults) {
         a.smoke = true;
+        a.sync = true;
         a.overload = true;
         a.netfaults = true;
     }
@@ -157,6 +166,9 @@ fn smoke_leg(seed: u64) -> Result<(), String> {
     if n != 3 {
         return Err(format!("smoke: scan saw {n} rows, want 3"));
     }
+    // Every write above is acknowledged, hence fenced: the counters
+    // the server reports about itself are final.
+    let stats = c.stats().map_err(|e| format!("stats: {e}"))?;
     // Graceful drain over the wire; exit must leave an empty queue.
     let r = c.call(Op::Drain).map_err(|e| format!("drain: {e}"))?;
     if r.status != Status::Ok {
@@ -166,10 +178,72 @@ fn smoke_leg(seed: u64) -> Result<(), String> {
     if !report.group_queue_empty {
         return Err("drain left a non-empty group-commit queue".into());
     }
+    let over_the_wire = (stats.admitted, stats.batches, stats.batch_txns);
+    let in_process = (ids.len() as u64, report.fences, report.committed);
+    if over_the_wire != in_process {
+        return Err(format!(
+            "smoke: STATS (admitted, batches, batch_txns) {over_the_wire:?} \
+             != requests sent and drain report {in_process:?}"
+        ));
+    }
     println!(
-        "smoke: OK ({} committed, {} fences, queue empty)",
+        "smoke: OK ({} committed, {} fences, queue empty, STATS agrees)",
         report.committed, report.fences
     );
+    Ok(())
+}
+
+/// Most a median round trip may take: a hundredth of it is healthy, and
+/// the kernel-timer stall this leg exists to catch is nine times it.
+const SYNC_LIMIT: Duration = Duration::from_millis(5);
+
+fn sync_leg(seed: u64) -> Result<(), String> {
+    let Some(h) = start(ServerConfig {
+        preload_keys: 8,
+        seed,
+        ..ServerConfig::default()
+    })?
+    else {
+        return Ok(());
+    };
+    let mut c = Client::connect(h.addr(), 5_000).map_err(|e| format!("connect: {e}"))?;
+    let (mut gets, mut puts) = (Vec::new(), Vec::new());
+    for i in 0..200u64 {
+        let key = i % 8;
+        let (op, rtts) = if i % 2 == 0 {
+            (Op::Get { key }, &mut gets)
+        } else {
+            let value = (seed ^ i).to_le_bytes().to_vec();
+            (Op::Put { key, value }, &mut puts)
+        };
+        let t = Instant::now();
+        let r = c.call(op).map_err(|e| format!("call {i}: {e}"))?;
+        rtts.push(t.elapsed());
+        if r.status != Status::Ok {
+            return Err(format!("sync: call {i}: {:?}", r.status));
+        }
+    }
+    h.shutdown();
+    let report = h.wait();
+    let median = |rtts: &mut Vec<Duration>| {
+        rtts.sort();
+        rtts[rtts.len() / 2]
+    };
+    let (get, put) = (median(&mut gets), median(&mut puts));
+    if get > SYNC_LIMIT || put > SYNC_LIMIT {
+        return Err(format!(
+            "sync: median round trip Get {get:?} Put {put:?} exceeds {SYNC_LIMIT:?}: \
+             something on the reply path waits on a timer"
+        ));
+    }
+    // A lone caller's write has no batch to wait for.
+    if report.fences != report.committed || report.committed != 100 {
+        return Err(format!(
+            "sync: {} fences for {} committed writes (want 100 and 100)",
+            report.fences, report.committed
+        ));
+    }
+    println!("sync: OK (median round trip Get {get:?}, Put {put:?}; one fence per write)");
     Ok(())
 }
 
@@ -270,6 +344,7 @@ fn main() -> ExitCode {
     };
     let legs = [
         ("smoke", a.smoke),
+        ("sync", a.sync),
         ("overload", a.overload),
         ("netfaults", a.netfaults),
     ];
@@ -279,6 +354,7 @@ fn main() -> ExitCode {
         }
         let result = match name {
             "smoke" => smoke_leg(a.seed),
+            "sync" => sync_leg(a.seed),
             "overload" => overload_leg(a.seed),
             _ => netfault_leg(a.seed, a.rounds),
         };

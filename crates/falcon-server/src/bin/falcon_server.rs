@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! falcon_server [--addr HOST:PORT] [--cap N] [--window N]
-//!               [--batch N] [--hold-us N] [--keys N] [--seed HEX]
+//!               [--batch N] [--keys N] [--seed HEX]
 //! ```
 
 use falcon_server::{serve, ServerConfig};
@@ -18,7 +18,6 @@ fn parse_args(cfg: &mut ServerConfig) -> Result<(), String> {
             "--cap" => cfg.admission_cap = num(&val("--cap")?)? as usize,
             "--window" => cfg.conn_window = num(&val("--window")?)?,
             "--batch" => cfg.group_max_batch = num(&val("--batch")?)? as usize,
-            "--hold-us" => cfg.group_hold_us = num(&val("--hold-us")?)?,
             "--keys" => cfg.preload_keys = num(&val("--keys")?)?,
             "--seed" => cfg.seed = num(&val("--seed")?)?,
             "--slowdown-us" => cfg.engine_slowdown_us = num(&val("--slowdown-us")?)?,
@@ -61,9 +60,10 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!(
-        "drained: committed {} fences {} admitted {} shed {}+{} \
-         (queue empty, checkpointed)",
-        report.committed, report.fences, c.admitted, c.shed_overloaded, c.shed_shutting_down
+        "drained: committed {} fences {} (queue empty, checkpointed)",
+        report.committed, report.fences
     );
+    // The same snapshot a `STATS` request returns.
+    println!("counters: {c:?}");
     ExitCode::SUCCESS
 }

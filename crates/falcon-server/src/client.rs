@@ -2,7 +2,8 @@
 //! driver: blocking frame I/O with a generous read timeout.
 
 use crate::proto::{
-    decode_response, encode_request, read_frame, write_frame, Op, Request, Response, Status,
+    decode_response, encode_request, read_frame, write_frame, CounterSnapshot, Op, Request,
+    Response, Status,
 };
 use std::io;
 use std::net::{SocketAddr, TcpStream};
@@ -53,6 +54,16 @@ impl Client {
             ));
         }
         Ok(resp)
+    }
+
+    /// Read the server's counters over the wire (`STATS`).
+    pub fn stats(&mut self) -> io::Result<CounterSnapshot> {
+        let r = self.call(Op::Stats)?;
+        if r.status != Status::Ok {
+            return Err(io::Error::other(format!("stats: {:?}", r.status)));
+        }
+        CounterSnapshot::decode(&r.payload)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
     }
 
     /// Upsert-then-read health probe; `Ok` when the value round-trips.

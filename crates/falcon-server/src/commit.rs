@@ -12,7 +12,7 @@
 //! | input | when the driver sends it | effect |
 //! |-------|--------------------------|--------|
 //! | [`submit`](GroupCommitter::submit) | one admitted request | execute; release a read's ack at once, hold a write's; fence when pending writes reach `group_max_batch` |
-//! | [`flush`](GroupCommitter::flush) | the queue stayed empty for the hold time | fence the pending writes (if any), release their acks |
+//! | [`flush`](GroupCommitter::flush) | the queue ran empty with writes pending | fence the pending writes (if any), release their acks |
 //! | [`drain`](GroupCommitter::drain) | every submitter is gone | final fence, ack release, checkpoint |
 //!
 //! Everything leaves through a [`CommitSink`]: the per-request

@@ -27,11 +27,9 @@ pub struct ServerConfig {
     /// A connection idle (no complete frame) for this long is reaped.
     pub idle_timeout_ms: u64,
     /// Most transactions one group commit covers: the batch fences as
-    /// soon as it reaches this size.
+    /// soon as it reaches this size, or earlier when the admission
+    /// queue runs empty — a pending write never waits on a timer.
     pub group_max_batch: usize,
-    /// Longest a pending group waits for more transactions before
-    /// fencing anyway, in microseconds.
-    pub group_hold_us: u64,
     /// Retry budget and backoff for transient engine errors; exhaustion
     /// becomes a typed `RetryExhausted` response.
     pub retry: RetryPolicy,
@@ -56,7 +54,6 @@ impl Default for ServerConfig {
             write_timeout_ms: 1_000,
             idle_timeout_ms: 5_000,
             group_max_batch: 16,
-            group_hold_us: 200,
             retry: RetryPolicy::server(),
             seed: 0x5EB5_E4FE,
             engine_slowdown_us: 0,

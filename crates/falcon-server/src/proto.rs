@@ -14,13 +14,19 @@
 //! Opcodes: `GET(1) key:u64` · `PUT(2) key:u64 value:bytes(≤56)` ·
 //! `DELETE(3) key:u64` · `SCAN(4) lo:u64 hi:u64 max:u32` ·
 //! `BATCH(5) count:u8 {op:u8 key:u64 [vlen:u8 value]}×count` (one
-//! transaction, all-or-nothing) · `DRAIN(6)` (graceful shutdown).
+//! transaction, all-or-nothing) · `DRAIN(6)` (graceful shutdown) ·
+//! `STATS(7)` (the server's counters; answered at admission, like
+//! `DRAIN`, without engine work).
 //!
 //! Responses carry a typed [`Status`]; overload and shutdown sheds are
 //! explicit statuses, never silent drops. A `GET` `Ok` payload is the
 //! 56-byte value region; a `SCAN` `Ok` payload is `count:u32` followed
 //! by `count` `(key:u64, stamp:u64)` pairs, where the stamp is the
-//! first 8 value bytes.
+//! first 8 value bytes, and `count` never exceeds [`MAX_SCAN_ROWS`]
+//! whatever `max` asked for — the reply has to fit one frame; a client
+//! that wants more resumes from the last key it got. A `STATS` `Ok`
+//! payload is a [`CounterSnapshot`]: twelve little-endian `u64`s in
+//! field order.
 
 use std::io::{self, Read, Write};
 
@@ -38,12 +44,17 @@ pub const ROW_BYTES: usize = 64;
 /// Most sub-operations a `BATCH` transaction may carry.
 pub const MAX_BATCH_OPS: usize = 64;
 
+/// Most rows one `SCAN` reply carries: what fits a [`MAX_FRAME`] body
+/// after `req_id:u64 | status:u8 | count:u32`, at 16 bytes a row.
+pub const MAX_SCAN_ROWS: usize = (MAX_FRAME - 13) / 16;
+
 const OP_GET: u8 = 1;
 const OP_PUT: u8 = 2;
 const OP_DELETE: u8 = 3;
 const OP_SCAN: u8 = 4;
 const OP_BATCH: u8 = 5;
 const OP_DRAIN: u8 = 6;
+const OP_STATS: u8 = 7;
 
 /// One write inside a `BATCH` transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,6 +107,9 @@ pub enum Op {
     /// Ask the server to drain gracefully: it acks, stops accepting,
     /// flushes the group-commit queue, checkpoints, and exits 0.
     Drain,
+    /// Read the server's counters; `Ok` payload is a
+    /// [`CounterSnapshot`].
+    Stats,
 }
 
 /// A decoded request frame.
@@ -159,6 +173,72 @@ pub struct Response {
     pub status: Status,
     /// Status-dependent payload (empty for most non-`Ok` statuses).
     pub payload: Vec<u8>,
+}
+
+/// Plain-value snapshot of the server's counters
+/// ([`ServerCounters`](crate::server::ServerCounters)). On the wire
+/// (the `STATS` payload) it is the fields as little-endian `u64`s, in
+/// declaration order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[allow(missing_docs)]
+pub struct CounterSnapshot {
+    pub admitted: u64,
+    pub shed_overloaded: u64,
+    pub shed_shutting_down: u64,
+    pub bad_requests: u64,
+    pub timeouts: u64,
+    pub conns_opened: u64,
+    pub conns_closed: u64,
+    pub retries: u64,
+    pub retries_exhausted: u64,
+    pub batches: u64,
+    pub batch_txns: u64,
+    pub batch_peak: u64,
+}
+
+impl CounterSnapshot {
+    /// Encode as a `STATS` response payload.
+    #[must_use]
+    pub fn encode(&self) -> Vec<u8> {
+        let fields = [
+            self.admitted,
+            self.shed_overloaded,
+            self.shed_shutting_down,
+            self.bad_requests,
+            self.timeouts,
+            self.conns_opened,
+            self.conns_closed,
+            self.retries,
+            self.retries_exhausted,
+            self.batches,
+            self.batch_txns,
+            self.batch_peak,
+        ];
+        fields.iter().flat_map(|f| f.to_le_bytes()).collect()
+    }
+
+    /// Decode a `STATS` response payload.
+    pub fn decode(payload: &[u8]) -> Result<CounterSnapshot, ProtoError> {
+        let mut c = Cursor::new(payload);
+        // Struct-expression fields evaluate in the order written, which
+        // is the wire order.
+        let snap = CounterSnapshot {
+            admitted: c.u64()?,
+            shed_overloaded: c.u64()?,
+            shed_shutting_down: c.u64()?,
+            bad_requests: c.u64()?,
+            timeouts: c.u64()?,
+            conns_opened: c.u64()?,
+            conns_closed: c.u64()?,
+            retries: c.u64()?,
+            retries_exhausted: c.u64()?,
+            batches: c.u64()?,
+            batch_txns: c.u64()?,
+            batch_peak: c.u64()?,
+        };
+        c.finish()?;
+        Ok(snap)
+    }
 }
 
 /// Why a frame body failed to decode.
@@ -296,6 +376,7 @@ pub fn encode_request(r: &Request) -> Vec<u8> {
             }
         }
         Op::Drain => b.push(OP_DRAIN),
+        Op::Stats => b.push(OP_STATS),
     }
     b
 }
@@ -342,6 +423,7 @@ pub fn decode_request(body: &[u8]) -> Result<Request, ProtoError> {
             Op::Batch(ops)
         }
         OP_DRAIN => Op::Drain,
+        OP_STATS => Op::Stats,
         other => return Err(ProtoError::BadOpcode(other)),
     };
     c.finish()?;
@@ -352,10 +434,33 @@ pub fn decode_request(body: &[u8]) -> Result<Request, ProtoError> {
 #[must_use]
 pub fn encode_response(r: &Response) -> Vec<u8> {
     let mut b = Vec::with_capacity(16 + r.payload.len());
-    b.extend_from_slice(&r.id.to_le_bytes());
-    b.push(r.status as u8);
-    b.extend_from_slice(&r.payload);
+    encode_response_into(r, &mut b);
     b
+}
+
+/// Append a response body (no length prefix) to `out`.
+pub fn encode_response_into(r: &Response, out: &mut Vec<u8>) {
+    out.extend_from_slice(&r.id.to_le_bytes());
+    out.push(r.status as u8);
+    out.extend_from_slice(&r.payload);
+}
+
+/// Append a response as one whole frame (length prefix + body) to
+/// `out`, so a writer can put several in one buffer and one `write`. A
+/// body above [`MAX_FRAME`] would mis-frame everything after it in the
+/// buffer (the peer's `read_frame` rejects the prefix), so it goes out
+/// as an empty [`Status::Error`] reply to the same request instead.
+pub fn frame_response_into(r: &Response, out: &mut Vec<u8>) {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    encode_response_into(r, out);
+    if out.len() - at - 4 > MAX_FRAME {
+        out.truncate(at + 4);
+        out.extend_from_slice(&r.id.to_le_bytes());
+        out.push(Status::Error as u8);
+    }
+    let len = u32::try_from(out.len() - at - 4).expect("body is at most MAX_FRAME");
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Decode a response body.
@@ -372,12 +477,25 @@ pub fn decode_response(body: &[u8]) -> Result<Response, ProtoError> {
     })
 }
 
-/// Write one frame (length prefix + body).
+/// Write one frame (length prefix + body) with a single `write_all`:
+/// two writes on a socket are two segments, and Nagle's algorithm holds
+/// the second until the peer's (delayed) ACK of the first. A body above
+/// [`MAX_FRAME`] is `InvalidInput` — [`read_frame`] would reject it.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    debug_assert!(body.len() <= MAX_FRAME);
-    let len = u32::try_from(body.len()).expect("frame fits u32");
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(body)
+    if body.len() > MAX_FRAME {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "frame of {} bytes exceeds the {MAX_FRAME}-byte cap",
+                body.len()
+            ),
+        ));
+    }
+    let len = u32::try_from(body.len()).expect("checked against MAX_FRAME");
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(body);
+    w.write_all(&frame)
 }
 
 /// Read one frame body. `Ok(None)` means the stream closed cleanly at a
@@ -422,6 +540,28 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<ReadOutcom
     Ok(ReadOutcome::Filled)
 }
 
+/// A `Write` that counts calls: one `write` is one segment on a
+/// `TCP_NODELAY` socket.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct CountingWriter {
+    pub(crate) writes: usize,
+    pub(crate) bytes: Vec<u8>,
+}
+
+#[cfg(test)]
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,6 +601,38 @@ mod tests {
             },
         ]));
         roundtrip(Op::Drain);
+        roundtrip(Op::Stats);
+    }
+
+    #[test]
+    fn stats_payload_roundtrips_and_rejects_bad_lengths() {
+        let snap = CounterSnapshot {
+            admitted: 1,
+            shed_overloaded: 2,
+            shed_shutting_down: 3,
+            bad_requests: 4,
+            timeouts: 5,
+            conns_opened: 6,
+            conns_closed: 7,
+            retries: 8,
+            retries_exhausted: 9,
+            batches: 10,
+            batch_txns: 11,
+            batch_peak: u64::MAX,
+        };
+        let mut wire = snap.encode();
+        assert_eq!(wire.len(), 12 * 8);
+        assert_eq!(wire[..8], 1u64.to_le_bytes(), "admitted leads");
+        assert_eq!(CounterSnapshot::decode(&wire), Ok(snap));
+        assert_eq!(
+            CounterSnapshot::decode(&wire[..95]),
+            Err(ProtoError::Truncated)
+        );
+        wire.push(0);
+        assert_eq!(
+            CounterSnapshot::decode(&wire),
+            Err(ProtoError::TrailingBytes(1))
+        );
     }
 
     #[test]
@@ -529,6 +701,64 @@ mod tests {
         });
         tg.extend_from_slice(&[1, 2]);
         assert_eq!(decode_request(&tg), Err(ProtoError::TrailingBytes(2)));
+    }
+
+    #[test]
+    fn a_frame_is_one_write_and_an_oversize_body_is_none() {
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, b"hello").unwrap();
+        assert_eq!(w.writes, 1, "length and body leave together");
+        assert_eq!(w.bytes, [&5u32.to_le_bytes()[..], b"hello"].concat());
+
+        let mut w = CountingWriter::default();
+        let err = write_frame(&mut w, &vec![0; MAX_FRAME + 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(w.writes, 0, "nothing of a bad frame reaches the stream");
+        write_frame(&mut w, &vec![0; MAX_FRAME]).unwrap();
+    }
+
+    #[test]
+    fn coalesced_responses_read_back_frame_by_frame() {
+        let resp = |id: u64, n: usize| Response {
+            id,
+            status: Status::Ok,
+            payload: vec![id as u8; n],
+        };
+        // The largest SCAN reply fits a frame; a `MAX_FRAME` payload
+        // (plus id and status) does not.
+        let widest = 4 + MAX_SCAN_ROWS * 16;
+        let batch = [
+            resp(1, 0),
+            resp(2, VALUE_BYTES),
+            resp(3, widest),
+            resp(4, MAX_FRAME),
+            resp(5, 7),
+        ];
+        let mut buf = b"already here".to_vec();
+        encode_response_into(&batch[1], &mut buf);
+        let whole = [&b"already here"[..], &encode_response(&batch[1])].concat();
+        assert_eq!(buf, whole, "appends, and the same bytes");
+
+        buf.clear();
+        for r in &batch {
+            frame_response_into(r, &mut buf);
+        }
+        let mut rd = &buf[..];
+        for r in &batch {
+            let body = read_frame(&mut rd)
+                .unwrap()
+                .expect("one frame per response");
+            let got = decode_response(&body).unwrap();
+            if r.id == 4 {
+                // Oversize: a typed failure for that request alone; the
+                // frames behind it are intact.
+                assert_eq!((got.id, got.status), (4, Status::Error));
+                assert!(got.payload.is_empty());
+            } else {
+                assert_eq!(&got, r);
+            }
+        }
+        assert!(read_frame(&mut rd).unwrap().is_none());
     }
 
     #[test]

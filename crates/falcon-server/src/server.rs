@@ -13,6 +13,13 @@
 //! window at `conn_window` (overflow stops reading the socket, so
 //! backpressure reaches the client through TCP).
 //!
+//! Nothing on the request path waits on a timer. Accepted sockets set
+//! `TCP_NODELAY`; the writer puts every response already queued — the
+//! acks one fence released — into one buffer and one `write`; the
+//! reader parses frames in place; and the engine thread fences pending
+//! writes the moment the admission queue runs empty instead of holding
+//! them for a batch that may not come.
+//!
 //! Shutdown: a `DRAIN` request (or [`ServerHandle::shutdown`]) flips
 //! the drain flag. The listener stops accepting, readers answer any
 //! still-pipelined requests with `ShuttingDown` and wind down, and
@@ -21,16 +28,15 @@
 
 use crate::commit::{CommitSink, DrainReport, GroupCommitter};
 use crate::config::ServerConfig;
-use crate::proto::{
-    self, decode_request, encode_response, Op, Request, Response, Status, MAX_FRAME,
-};
+pub use crate::proto::CounterSnapshot;
+use crate::proto::{decode_request, frame_response_into, Op, Request, Response, Status, MAX_FRAME};
 use crate::store::{create_engine, OpResult};
 use falcon_core::retry::mix64;
 use falcon_core::Engine;
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -89,24 +95,6 @@ impl ServerCounters {
     }
 }
 
-/// Plain-value snapshot of [`ServerCounters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub struct CounterSnapshot {
-    pub admitted: u64,
-    pub shed_overloaded: u64,
-    pub shed_shutting_down: u64,
-    pub bad_requests: u64,
-    pub timeouts: u64,
-    pub conns_opened: u64,
-    pub conns_closed: u64,
-    pub retries: u64,
-    pub retries_exhausted: u64,
-    pub batches: u64,
-    pub batch_txns: u64,
-    pub batch_peak: u64,
-}
-
 /// Per-connection in-flight window: the reader blocks once
 /// `conn_window` responses are outstanding, so a client that stops
 /// reading eventually stops being read.
@@ -143,9 +131,10 @@ impl Window {
         true
     }
 
-    fn release(&self) {
+    /// Free `slots` slots (the one reader is the only waiter).
+    fn release(&self, slots: u64) {
         let mut n = self.state.lock().expect("window");
-        *n = n.saturating_sub(1);
+        *n = n.saturating_sub(slots);
         self.cv.notify_one();
     }
 }
@@ -333,6 +322,9 @@ fn connection(
     draining: Arc<AtomicBool>,
     conn_id: u64,
 ) {
+    // Replies are small and latency-bound: never let Nagle hold one
+    // for the peer's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(cfg.read_timeout_ms)));
     let _ = stream.set_write_timeout(Some(Duration::from_millis(cfg.write_timeout_ms)));
     let Ok(wstream) = stream.try_clone() else {
@@ -363,77 +355,135 @@ fn connection(
     let _ = writer.join();
 }
 
-/// Write responses until the channel closes or the peer fails; always
-/// releases the window slot so the reader never wedges.
+/// Write responses until the channel closes or the peer fails. Each
+/// wake-up takes every response already queued — what one group fence
+/// released arrives together — frames them into one reused buffer and
+/// issues one `write`, then releases their window slots. The buffer is
+/// bounded by the window: at most `conn_window` responses are ever
+/// outstanding on a connection.
 fn writer_thread(
-    mut stream: TcpStream,
+    mut stream: impl Write,
     rx: &Receiver<Response>,
     window: &Window,
     dead: &AtomicBool,
 ) {
+    let mut buf = Vec::new();
     let mut broken = false;
-    for resp in rx {
-        if !broken {
-            let body = encode_response(&resp);
-            if proto::write_frame(&mut stream, &body).is_err() {
-                // Peer vanished or stalled past the write timeout:
-                // stop writing but keep draining (and releasing) so
-                // the reader sheds cleanly instead of wedging.
-                broken = true;
-                dead.store(true, Ordering::Relaxed);
+    while let Ok(first) = rx.recv() {
+        buf.clear();
+        let mut taken = 0;
+        for resp in std::iter::once(first).chain(rx.try_iter()) {
+            if !broken {
+                frame_response_into(&resp, &mut buf);
             }
+            taken += 1;
         }
-        window.release();
+        if !broken && stream.write_all(&buf).is_err() {
+            // Peer vanished or stalled past the write timeout: stop
+            // writing but keep draining (and releasing) so the reader
+            // sheds cleanly instead of wedging.
+            broken = true;
+            dead.store(true, Ordering::Relaxed);
+        }
+        window.release(taken);
     }
 }
 
-enum FrameState {
+/// What the head of the reader's buffer holds.
+enum FrameState<'a> {
+    /// Not a whole frame yet.
     Need,
+    /// A length prefix above [`MAX_FRAME`].
     Oversize,
-    Frame(Vec<u8>),
+    /// One frame body, borrowed from the buffer.
+    Frame(&'a [u8]),
 }
 
-/// Pop one complete frame off the accumulator, if present.
-fn take_frame(acc: &mut Vec<u8>) -> FrameState {
-    if acc.len() < 4 {
-        return FrameState::Need;
+/// Most bytes one `read` may deliver.
+const READ_CHUNK: usize = 4096;
+
+/// The reader's accumulate buffer, parsed in place: `buf[head..tail]`
+/// holds the bytes read and not yet consumed. Frames are handed out as
+/// slices of it and only a partial frame left behind by a `read` is
+/// ever moved — once, to the front, before the next `read`. The buffer
+/// stops growing at one maximal frame plus one chunk, because an
+/// oversize prefix ends the connection.
+struct Framer {
+    buf: Vec<u8>,
+    head: usize,
+    tail: usize,
+}
+
+impl Framer {
+    fn new() -> Framer {
+        Framer {
+            buf: vec![0; READ_CHUNK],
+            head: 0,
+            tail: 0,
+        }
     }
-    let len = u32::from_le_bytes(acc[0..4].try_into().unwrap()) as usize;
-    if len > MAX_FRAME {
-        return FrameState::Oversize;
+
+    /// One `read` into the free space; returns what `read` returned.
+    fn fill(&mut self, r: &mut impl Read) -> io::Result<usize> {
+        if self.head > 0 {
+            self.buf.copy_within(self.head..self.tail, 0);
+            self.tail -= self.head;
+            self.head = 0;
+        }
+        if self.buf.len() < self.tail + READ_CHUNK {
+            self.buf.resize(self.tail + READ_CHUNK, 0);
+        }
+        let n = r.read(&mut self.buf[self.tail..self.tail + READ_CHUNK])?;
+        self.tail += n;
+        Ok(n)
     }
-    if acc.len() < 4 + len {
-        return FrameState::Need;
+
+    /// Whether unconsumed bytes remain (a frame cut short at EOF).
+    fn has_partial(&self) -> bool {
+        self.head < self.tail
     }
-    let body = acc[4..4 + len].to_vec();
-    acc.drain(0..4 + len);
-    FrameState::Frame(body)
+
+    /// Consume and return the next whole frame, if one is buffered.
+    fn next_frame(&mut self) -> FrameState<'_> {
+        let avail = &self.buf[self.head..self.tail];
+        let Some(prefix) = avail.first_chunk::<4>() else {
+            return FrameState::Need;
+        };
+        let len = u32::from_le_bytes(*prefix) as usize;
+        if len > MAX_FRAME {
+            return FrameState::Oversize;
+        }
+        if avail.len() < 4 + len {
+            return FrameState::Need;
+        }
+        let body = self.head + 4;
+        self.head = body + len;
+        FrameState::Frame(&self.buf[body..body + len])
+    }
 }
 
 impl Conn {
     fn reader_loop(&self, mut stream: TcpStream) {
         let counters = &self.counters;
-        let mut acc: Vec<u8> = Vec::new();
-        let mut scratch = [0u8; 4096];
+        let mut framer = Framer::new();
         let mut last_progress = Instant::now();
         let mut next_req = 0u64;
         loop {
             if self.dead.load(Ordering::Relaxed) {
                 return;
             }
-            match stream.read(&mut scratch) {
+            match framer.fill(&mut stream) {
                 Ok(0) => {
-                    if !acc.is_empty() {
+                    if framer.has_partial() {
                         // Connection reset mid-frame.
                         counters.add(&counters.bad_requests);
                     }
                     return;
                 }
-                Ok(n) => {
-                    acc.extend_from_slice(&scratch[..n]);
+                Ok(_) => {
                     last_progress = Instant::now();
                     loop {
-                        match take_frame(&mut acc) {
+                        match framer.next_frame() {
                             FrameState::Need => break,
                             FrameState::Oversize => {
                                 counters.add(&counters.bad_requests);
@@ -443,7 +493,7 @@ impl Conn {
                             FrameState::Frame(body) => {
                                 let seed = mix64(self.seed ^ mix64(next_req));
                                 next_req += 1;
-                                if !self.handle_frame(&body, seed) {
+                                if !self.handle_frame(body, seed) {
                                     return;
                                 }
                             }
@@ -472,11 +522,17 @@ impl Conn {
     /// Send an empty-payload response through the writer, honouring
     /// the in-flight window.
     fn respond(&self, id: u64, status: Status) -> bool {
+        self.reply(empty(id, status))
+    }
+
+    /// Answer from the admission layer: straight to the writer, through
+    /// the in-flight window like every other response.
+    fn reply(&self, resp: Response) -> bool {
         if !self.window.acquire(&self.dead) {
             return false;
         }
-        if self.wtx.send(empty(id, status)).is_err() {
-            self.window.release();
+        if self.wtx.send(resp).is_err() {
+            self.window.release(1);
             return false;
         }
         true
@@ -499,9 +555,21 @@ impl Conn {
                 return self.respond(id, Status::BadRequest);
             }
         };
-        if matches!(req.op, Op::Drain) {
-            self.draining.store(true, Ordering::SeqCst);
-            return self.respond(req.id, Status::Ok);
+        match req.op {
+            Op::Drain => {
+                self.draining.store(true, Ordering::SeqCst);
+                return self.respond(req.id, Status::Ok);
+            }
+            // Answered even while draining: the server explains itself
+            // until its last connection closes.
+            Op::Stats => {
+                return self.reply(Response {
+                    id: req.id,
+                    status: Status::Ok,
+                    payload: counters.snapshot().encode(),
+                });
+            }
+            _ => {}
         }
         if self.draining.load(Ordering::SeqCst) {
             counters.add(&counters.shed_shutting_down);
@@ -525,7 +593,7 @@ impl Conn {
                 // is consumed by the Overloaded response itself.
                 counters.add(&counters.shed_overloaded);
                 if self.wtx.send(empty(id, Status::Overloaded)).is_err() {
-                    self.window.release();
+                    self.window.release(1);
                     return false;
                 }
                 true
@@ -533,7 +601,7 @@ impl Conn {
             Err(TrySendError::Disconnected(_)) => {
                 counters.add(&counters.shed_shutting_down);
                 if self.wtx.send(empty(id, Status::ShuttingDown)).is_err() {
-                    self.window.release();
+                    self.window.release(1);
                 }
                 false
             }
@@ -583,29 +651,219 @@ impl CommitSink for ChannelSink {
 }
 
 /// The engine thread: feed the committer from the admission queue. An
-/// arrival is a `submit`, a queue that stayed empty for the hold time
-/// (or the idle tick) is a `flush`, and the last submitter leaving is
-/// the `drain`.
+/// arrival is a `submit`, the queue running empty while writes are
+/// pending is the `flush`, and the last submitter leaving is the
+/// `drain`. It blocks while nothing is pending and only polls while
+/// something is, so it reads no clock: under load the queue is never
+/// empty and batches end on the size trigger; when idle a write is
+/// fenced as soon as it has executed.
 fn engine_thread(
     mut committer: GroupCommitter<Engine, ChannelSink>,
     rx: &Receiver<Job>,
     cfg: &ServerConfig,
 ) -> DrainReport {
-    let hold = Duration::from_micros(cfg.group_hold_us);
-    let idle = Duration::from_millis(5);
     loop {
-        let wait = if committer.pending() > 0 { hold } else { idle };
-        match rx.recv_timeout(wait) {
-            Ok(job) => {
-                if cfg.engine_slowdown_us > 0 {
-                    // Overload-test fault injection: stretch execution
-                    // so the admission queue actually fills.
-                    thread::sleep(Duration::from_micros(cfg.engine_slowdown_us));
-                }
-                committer.submit(job.req.id, &job.req.op, job.seed, job.reply);
+        let job = if committer.pending() == 0 {
+            match rx.recv() {
+                Ok(job) => job,
+                Err(mpsc::RecvError) => return committer.drain(),
             }
-            Err(mpsc::RecvTimeoutError::Timeout) => committer.flush(),
-            Err(mpsc::RecvTimeoutError::Disconnected) => return committer.drain(),
+        } else {
+            match rx.try_recv() {
+                Ok(job) => job,
+                Err(TryRecvError::Empty) => {
+                    committer.flush();
+                    continue;
+                }
+                Err(TryRecvError::Disconnected) => return committer.drain(),
+            }
+        };
+        if cfg.engine_slowdown_us > 0 {
+            // Overload-test fault injection: stretch execution so the
+            // admission queue actually fills.
+            thread::sleep(Duration::from_micros(cfg.engine_slowdown_us));
+        }
+        committer.submit(job.req.id, &job.req.op, job.seed, job.reply);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::{decode_response, read_frame, write_frame, CountingWriter};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn ok(id: u64) -> Response {
+        Response {
+            id,
+            status: Status::Ok,
+            payload: id.to_le_bytes().to_vec(),
+        }
+    }
+
+    /// Queue `k` responses (window slots taken, as the reader would),
+    /// close the channel and run the writer to completion on `w`.
+    fn run_writer(w: impl Write, k: u64) -> (u64, bool) {
+        let window = Window::new(k);
+        let dead = AtomicBool::new(false);
+        let (tx, rx) = mpsc::channel();
+        for id in 0..k {
+            assert!(window.acquire(&dead));
+            tx.send(ok(id)).unwrap();
+        }
+        drop(tx);
+        writer_thread(w, &rx, &window, &dead);
+        let held = *window.state.lock().unwrap();
+        (held, dead.load(Ordering::Relaxed))
+    }
+
+    #[test]
+    fn queued_responses_leave_in_one_write() {
+        let mut w = CountingWriter::default();
+        assert_eq!(run_writer(&mut w, 5), (0, false), "slots freed, peer alive");
+        assert_eq!(w.writes, 1, "what one fence released is one segment");
+        let mut rd = &w.bytes[..];
+        for id in 0..5 {
+            let body = read_frame(&mut rd).unwrap().expect("five frames");
+            assert_eq!(decode_response(&body).unwrap(), ok(id));
+        }
+        assert!(read_frame(&mut rd).unwrap().is_none());
+    }
+
+    #[test]
+    fn a_failed_write_still_drains_and_frees_the_window() {
+        struct Broken;
+        impl Write for Broken {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::ErrorKind::BrokenPipe.into())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        assert_eq!(run_writer(Broken, 5), (0, true), "slots freed, peer dead");
+    }
+
+    /// The accumulate-copy-drain framer this module shipped before
+    /// frames were parsed in place; the oracle [`Framer`] is held to.
+    fn take_frame(acc: &mut Vec<u8>) -> Option<Result<Vec<u8>, ()>> {
+        if acc.len() < 4 {
+            return None;
+        }
+        let len = u32::from_le_bytes(acc[0..4].try_into().unwrap()) as usize;
+        if len > MAX_FRAME {
+            return Some(Err(()));
+        }
+        if acc.len() < 4 + len {
+            return None;
+        }
+        let body = acc[4..4 + len].to_vec();
+        acc.drain(0..4 + len);
+        Some(Ok(body))
+    }
+
+    /// Hands out `data` in reads of the given sizes, then EOF.
+    struct Chunked<'a> {
+        data: &'a [u8],
+        sizes: std::slice::Iter<'a, usize>,
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let want = self.sizes.next().copied().unwrap_or(usize::MAX);
+            let n = want.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// What a reader loop sees: every frame in order, then how the
+    /// stream ended (`Some(true)` oversize prefix, `Some(false)` EOF
+    /// inside a frame, `None` clean EOF).
+    type Seen = (Vec<Vec<u8>>, Option<bool>);
+
+    fn seen_in_place(mut r: Chunked<'_>) -> Seen {
+        let mut framer = Framer::new();
+        let mut frames = Vec::new();
+        while framer.fill(&mut r).unwrap() > 0 {
+            loop {
+                match framer.next_frame() {
+                    FrameState::Need => break,
+                    FrameState::Oversize => return (frames, Some(true)),
+                    FrameState::Frame(body) => frames.push(body.to_vec()),
+                }
+            }
+            assert!(framer.buf.len() <= 4 + MAX_FRAME + READ_CHUNK, "bounded");
+        }
+        (frames, framer.has_partial().then_some(false))
+    }
+
+    fn seen_by_oracle(mut r: Chunked<'_>) -> Seen {
+        let mut acc = Vec::new();
+        let mut scratch = [0u8; READ_CHUNK];
+        let mut frames = Vec::new();
+        loop {
+            let n = r.read(&mut scratch).unwrap();
+            if n == 0 {
+                return (frames, (!acc.is_empty()).then_some(false));
+            }
+            acc.extend_from_slice(&scratch[..n]);
+            while let Some(f) = take_frame(&mut acc) {
+                match f {
+                    Ok(body) => frames.push(body),
+                    Err(()) => return (frames, Some(true)),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_framing_matches_the_copying_oracle_on_any_chunking() {
+        let mut rng = StdRng::seed_from_u64(0xF4A3_E125);
+        // A valid stream: empty, tiny, chunk-straddling and maximal
+        // frames, several of which fit one read.
+        let lens = [0, 1, 13, 21, 21, 21, 4092, 4096, 9000, 3, MAX_FRAME, 56];
+        let mut bodies = Vec::new();
+        let mut valid = Vec::new();
+        for len in lens {
+            let body: Vec<u8> = (0..len).map(|_| rng.random()).collect();
+            write_frame(&mut valid, &body).unwrap();
+            bodies.push(body);
+        }
+        let mut oversize = valid.clone();
+        oversize.extend_from_slice(&(MAX_FRAME as u32 + 1).to_le_bytes());
+        oversize.extend_from_slice(b"never parsed");
+        let truncated = &valid[..valid.len() - 5];
+        let mid_prefix = &valid[..valid.len() - 56 - 2];
+
+        let streams: [(&[u8], usize, Option<bool>); 4] = [
+            (&valid, lens.len(), None),
+            (&oversize, lens.len(), Some(true)),
+            (truncated, lens.len() - 1, Some(false)),
+            (mid_prefix, lens.len() - 1, Some(false)),
+        ];
+        for (data, whole, end) in streams {
+            let mut chunkings: Vec<Vec<usize>> = vec![
+                vec![1; data.len()],       // byte at a time
+                Vec::new(),                // as much as fits, every read
+                [3, 1].repeat(data.len()), // every length prefix split
+            ];
+            for _ in 0..24 {
+                let top = [2, 40, 700, READ_CHUNK][rng.random_range(0..4usize)];
+                chunkings.push((0..data.len()).map(|_| rng.random_range(1..=top)).collect());
+            }
+            for sizes in &chunkings {
+                let reader = || Chunked {
+                    data,
+                    sizes: sizes.iter(),
+                };
+                let got = seen_in_place(reader());
+                assert_eq!(got, seen_by_oracle(reader()), "chunking {sizes:?}");
+                assert_eq!(got.0[..], bodies[..whole]);
+                assert_eq!(got.1, end);
+            }
         }
     }
 }

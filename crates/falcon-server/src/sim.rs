@@ -243,8 +243,8 @@ impl CommitSink for RecordSink<'_> {
 /// Run the serving loop against an open engine: waves of pipelined
 /// arrivals, a hard admission cap, and the admitted requests delivered
 /// to the [`GroupCommitter`] in chunks of `group_max_batch` with a
-/// `flush` after each — the live server's "a full batch lands, then the
-/// queue stays empty for the hold time". A chunk can reach
+/// `flush` after each — the live server's "a batch lands, then the
+/// queue runs empty". A chunk can reach
 /// `group_max_batch` pending writes only on its last request, so the
 /// committer's size trigger and the chunk-end flush coincide.
 /// Deterministic in `(engine state, spec)`; an armed fault plan does

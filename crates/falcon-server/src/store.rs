@@ -11,7 +11,7 @@
 //! are deterministic in `(seed, attempt)` and identical between the
 //! simulator and a live run.
 
-use crate::proto::{Op, Status, WriteOp, ROW_BYTES, VALUE_BYTES};
+use crate::proto::{Op, Status, WriteOp, MAX_SCAN_ROWS, ROW_BYTES, VALUE_BYTES};
 use falcon_core::table::{IndexKind, TableDef};
 use falcon_core::{CcAlgo, Engine, EngineConfig, RetryPolicy, TxnError, Worker};
 use falcon_storage::{ColType, Schema};
@@ -233,7 +233,8 @@ fn attempt_op(e: &Engine, w: &mut Worker, op: &Op) -> Result<(Status, Vec<u8>), 
         Op::Scan { lo, hi, max } => {
             let mut t = e.begin(w, false);
             let mut rows: Vec<(u64, u64)> = Vec::new();
-            let cap = *max as usize;
+            // `max` is the client's; the reply must still fit one frame.
+            let cap = (*max as usize).min(MAX_SCAN_ROWS);
             let res = t.scan(TABLE, *lo, *hi, |k, row| {
                 if rows.len() >= cap {
                     return false;
@@ -283,9 +284,9 @@ fn attempt_op(e: &Engine, w: &mut Worker, op: &Op) -> Result<(Status, Vec<u8>), 
             t.commit()?;
             Ok((Status::Ok, Vec::new()))
         }
-        // DRAIN never reaches the engine; the server answers it at the
-        // admission layer.
-        Op::Drain => Ok((Status::Ok, Vec::new())),
+        // DRAIN and STATS never reach the engine; the server answers
+        // them at the admission layer.
+        Op::Drain | Op::Stats => Ok((Status::Ok, Vec::new())),
     }
 }
 

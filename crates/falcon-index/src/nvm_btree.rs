@@ -49,6 +49,20 @@
 //! wild pointers. Each salvage is counted and surfaced through
 //! [`Index::structural_repairs`].
 //!
+//! # Reading and building a node
+//!
+//! A node is read through a [`NodeView`]: one 16-byte device read takes
+//! the header (leaf tag + count) and rejects a count the layout cannot
+//! hold, and one more read takes the entry range a search needs into a
+//! stack buffer — charged per cache line, like a tuple read, instead of
+//! two 8-byte loads per slot. Inner nodes are kept sorted, so the child
+//! for a key is found by binary search (⌈log₂(count + 1)⌉ separator
+//! probes and one child load). Fresh nodes — split halves, new roots, rebuilt
+//! inner levels — are built in DRAM and stored with one write covering
+//! exactly the bytes a word-by-word build would have stored. None of
+//! this moves a write-back or a fence, and a built node is unreachable
+//! until its publishing swing, so every crash image is unchanged.
+//!
 //! Concurrency: writers serialize on a host-side tree lock; readers
 //! proceed under a shared lock. (NBTree's lock-free read protocol is a
 //! host-performance optimization; virtual-time costs, which all
@@ -75,6 +89,11 @@ const N_COUNT: u64 = 8;
 const N_NEXT: u64 = 16;
 const N_ENTRIES: u64 = 32;
 
+/// Deepest descent followed before the inner levels are declared
+/// corrupt (a pointer cycle): half-full nodes this deep would index
+/// 31^31 keys.
+const MAX_DEPTH: usize = 32;
+
 // Root-slot word offsets.
 const R_ROOT: u64 = 0;
 const R_FIRST_LEAF: u64 = 8;
@@ -89,6 +108,72 @@ const R_FREE: u64 = 48;
 /// engine-level transaction recorded on the real thread.
 #[cfg(feature = "trace")]
 const SPLIT_THREAD_OFFSET: usize = 1 << 20;
+
+/// A node's header as one read saw it. Only [`NbTree::view`] makes one,
+/// and it rejects a count the layout cannot hold, so every entry range
+/// derived from a view lies inside its node.
+#[derive(Clone, Copy, Debug)]
+struct NodeView {
+    at: PAddr,
+    leaf: bool,
+    count: u64,
+}
+
+/// A node's entries decoded from one read: `(key, value)` in a leaf,
+/// `(separator, child)` in an inner node.
+type Entries = [(u64, u64); CAP as usize];
+const NO_ENTRIES: Entries = [(0, 0); CAP as usize];
+
+/// The `i`-th little-endian word of `b`.
+fn word(b: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(b[i * 8..i * 8 + 8].try_into().expect("8 bytes"))
+}
+
+/// The value word of slot `i` of node `n`: a leaf's value, an inner
+/// node's child pointer.
+fn value_word(n: PAddr, i: u64) -> PAddr {
+    n.add(N_ENTRIES + i * 16 + 8)
+}
+
+/// Store `v` little-endian at byte `off` of `b`.
+fn put_word(b: &mut [u8], off: u64, v: u64) {
+    b[off as usize..off as usize + 8].copy_from_slice(&v.to_le_bytes());
+}
+
+/// Encode entry `(k, v)` into its 16-byte slot `i` of `b`.
+fn put_entry(b: &mut [u8], i: u64, (k, v): (u64, u64)) {
+    put_word(b, i * 16, k);
+    put_word(b, i * 16 + 8, v);
+}
+
+/// A fresh node built in DRAM and stored with one write: the header and
+/// entries `[0, count)`, the bytes a word-by-word build stores, so the
+/// same lines end up dirty.
+struct NodeImage {
+    bytes: [u8; NODE as usize],
+    count: u64,
+}
+
+impl NodeImage {
+    fn new(leaf: bool, next: u64) -> NodeImage {
+        let mut bytes = [0; NODE as usize];
+        put_word(&mut bytes, N_LEAF, u64::from(leaf));
+        put_word(&mut bytes, N_NEXT, next);
+        NodeImage { bytes, count: 0 }
+    }
+
+    /// Append an entry (inner-node callers push in sorted order).
+    fn push(&mut self, e: (u64, u64)) {
+        debug_assert!(self.count < CAP);
+        put_entry(&mut self.bytes[N_ENTRIES as usize..], self.count, e);
+        self.count += 1;
+        put_word(&mut self.bytes, N_COUNT, self.count);
+    }
+
+    fn stored(&self) -> &[u8] {
+        &self.bytes[..(N_ENTRIES + self.count * 16) as usize]
+    }
+}
 
 /// The NBTree-style B+tree.
 pub struct NbTree {
@@ -120,7 +205,7 @@ impl NbTree {
     ) -> Result<NbTree, IndexError> {
         let t = Self::attach(alloc, root_slot);
         let leaf = t.nodes.alloc_node(ctx)?;
-        t.init_node(leaf, true, ctx);
+        t.store_node(leaf, &NodeImage::new(true, 0), ctx);
         t.wbr(leaf, 32, ctx);
         t.fence_if_adr(ctx);
         t.dev.store_u64(root_slot.add(R_ROOT), leaf.0, ctx);
@@ -303,104 +388,163 @@ impl NbTree {
     }
 
     // ------------------------------------------------------------------
-    // Node accessors.
+    // Node views and builds.
     // ------------------------------------------------------------------
-
-    fn init_node(&self, n: PAddr, leaf: bool, ctx: &mut MemCtx) {
-        self.dev.store_u64(n.add(N_LEAF), u64::from(leaf), ctx);
-        self.dev.store_u64(n.add(N_COUNT), 0, ctx);
-        self.dev.store_u64(n.add(N_NEXT), 0, ctx);
-    }
 
     #[inline]
     fn root(&self, ctx: &mut MemCtx) -> PAddr {
         PAddr(self.dev.load_u64(self.root_slot.add(R_ROOT), ctx))
     }
 
-    #[inline]
-    fn is_leaf(&self, n: PAddr, ctx: &mut MemCtx) -> bool {
-        self.dev.load_u64(n.add(N_LEAF), ctx) != 0
+    /// Read node `n`'s header (leaf tag and count) with one 16-byte
+    /// read. A pointer that is null, off a node boundary or past the
+    /// device, a count above [`CAP`], or an inner node without entries
+    /// is [`IndexError::Corrupt`]: nothing past the node is ever read.
+    fn view(&self, n: PAddr, ctx: &mut MemCtx) -> Result<NodeView, IndexError> {
+        let in_bounds = n.0 != 0
+            && n.0.is_multiple_of(NODE)
+            && n.0
+                .checked_add(NODE)
+                .is_some_and(|end| end <= self.dev.capacity());
+        if !in_bounds {
+            return Err(IndexError::Corrupt(format!(
+                "btree node pointer {:#x} out of bounds",
+                n.0
+            )));
+        }
+        let mut hdr = [0u8; 16];
+        self.dev.read(n.add(N_LEAF), &mut hdr, ctx);
+        let (leaf, count) = (word(&hdr, 0) != 0, word(&hdr, 1));
+        if count > CAP || (!leaf && count == 0) {
+            return Err(IndexError::Corrupt(format!(
+                "btree {} {:#x} claims {count} entries (capacity {CAP})",
+                if leaf { "leaf" } else { "inner node" },
+                n.0
+            )));
+        }
+        Ok(NodeView { at: n, leaf, count })
     }
 
-    #[inline]
-    fn count(&self, n: PAddr, ctx: &mut MemCtx) -> u64 {
-        self.dev.load_u64(n.add(N_COUNT), ctx)
+    /// [`NbTree::view`] of a node reached through the leaf chain, which
+    /// must be tagged as a leaf.
+    fn chain_view(&self, n: PAddr, ctx: &mut MemCtx) -> Result<NodeView, IndexError> {
+        let v = self.view(n, ctx)?;
+        if !v.leaf {
+            return Err(IndexError::Corrupt(format!(
+                "btree leaf chain node {:#x} is not tagged as a leaf",
+                n.0
+            )));
+        }
+        Ok(v)
     }
 
-    #[inline]
-    fn entry(&self, n: PAddr, i: u64, ctx: &mut MemCtx) -> (u64, u64) {
-        let ea = n.add(N_ENTRIES + i * 16);
-        (
-            self.dev.load_u64(ea, ctx),
-            self.dev.load_u64(ea.add(8), ctx),
-        )
+    /// All entries of `v`, taken with one device read (charged per
+    /// cache line) and decoded into `buf`.
+    fn entries<'e>(
+        &self,
+        v: &NodeView,
+        buf: &'e mut Entries,
+        ctx: &mut MemCtx,
+    ) -> &'e [(u64, u64)] {
+        let n = v.count as usize;
+        let mut raw = [0u8; CAP as usize * 16];
+        let raw = &mut raw[..n * 16];
+        self.dev.read(v.at.add(N_ENTRIES), raw, ctx);
+        for (e, b) in buf.iter_mut().zip(raw.chunks_exact(16)) {
+            *e = (word(b, 0), word(b, 1));
+        }
+        &buf[..n]
     }
 
-    #[inline]
-    fn set_entry(&self, n: PAddr, i: u64, k: u64, v: u64, ctx: &mut MemCtx) {
-        let ea = n.add(N_ENTRIES + i * 16);
-        self.dev.store_u64(ea, k, ctx);
-        self.dev.store_u64(ea.add(8), v, ctx);
+    /// A leaf's live entries (dead slots skipped), from one read.
+    fn live_entries<'e>(
+        &self,
+        leaf: &NodeView,
+        buf: &'e mut Entries,
+        ctx: &mut MemCtx,
+    ) -> &'e mut [(u64, u64)] {
+        let n = self.entries(leaf, buf, ctx).len();
+        let mut live = 0;
+        for i in 0..n {
+            if buf[i].1 != 0 {
+                buf.swap(live, i);
+                live += 1;
+            }
+        }
+        &mut buf[..live]
     }
 
-    /// Inner-node child lookup: largest `i` with `sep[i] <= key`
-    /// (sep[0] is always 0).
-    fn child_for(&self, inner: PAddr, key: u64, ctx: &mut MemCtx) -> (u64, PAddr) {
-        let cnt = self.count(inner, ctx);
-        debug_assert!(cnt > 0);
-        let mut idx = 0;
-        let mut child = 0;
-        for i in 0..cnt {
-            let (sep, c) = self.entry(inner, i, ctx);
-            if sep <= key {
-                idx = i;
-                child = c;
+    /// Store a DRAM-built node at `at` with one write.
+    fn store_node(&self, at: PAddr, img: &NodeImage, ctx: &mut MemCtx) {
+        self.dev.write(at, img.stored(), ctx);
+    }
+
+    /// Inner-node child lookup: the largest `i` with `sep[i] <= key`,
+    /// by binary search over the sorted separators (⌈log₂(count + 1)⌉
+    /// probes, then one child load). A key below `sep[0]` — which the
+    /// parent never routes here — yields `(0, PAddr(0))`, a pointer
+    /// [`NbTree::view`] rejects.
+    fn child_for(&self, inner: &NodeView, key: u64, ctx: &mut MemCtx) -> (u64, PAddr) {
+        let (mut lo, mut hi) = (0, inner.count);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.dev.load_u64(inner.at.add(N_ENTRIES + mid * 16), ctx) <= key {
+                lo = mid + 1;
             } else {
-                break;
+                hi = mid;
             }
         }
-        (idx, PAddr(child))
+        match lo {
+            0 => (0, PAddr(0)),
+            n => (n - 1, self.child(inner, n - 1, ctx)),
+        }
     }
 
-    /// Descend to the leaf for `key`, recording `(inner, child_idx)` on
-    /// the path.
-    fn descend(&self, key: u64, ctx: &mut MemCtx) -> (PAddr, Vec<(PAddr, u64)>) {
-        let mut n = self.root(ctx);
+    /// Child pointer `i` of inner node `inner`.
+    fn child(&self, inner: &NodeView, i: u64, ctx: &mut MemCtx) -> PAddr {
+        PAddr(self.dev.load_u64(value_word(inner.at, i), ctx))
+    }
+
+    /// Descend to the leaf for `key` — one header read and one binary
+    /// search per inner level — recording `(inner, child_idx)` on the
+    /// path.
+    fn descend(
+        &self,
+        key: u64,
+        ctx: &mut MemCtx,
+    ) -> Result<(NodeView, Vec<(NodeView, u64)>), IndexError> {
+        let mut n = self.view(self.root(ctx), ctx)?;
         let mut path = Vec::with_capacity(4);
-        while !self.is_leaf(n, ctx) {
-            let (idx, child) = self.child_for(n, key, ctx);
-            path.push((n, idx));
-            n = child;
-        }
-        (n, path)
-    }
-
-    /// Find the *live* entry for `key` in (unsorted) leaf `n`. Slots
-    /// with a zero value word are dead (removed or torn mid-publish).
-    fn find_in_leaf(&self, n: PAddr, key: u64, ctx: &mut MemCtx) -> Option<u64> {
-        let cnt = self.count(n, ctx);
-        for i in 0..cnt {
-            let (k, v) = self.entry(n, i, ctx);
-            if v != 0 && k == key {
-                return Some(i);
+        while !n.leaf {
+            if path.len() == MAX_DEPTH {
+                return Err(IndexError::Corrupt(format!(
+                    "btree descent exceeds {MAX_DEPTH} levels (cycle)"
+                )));
             }
+            let (idx, child) = self.child_for(&n, key, ctx);
+            path.push((n, idx));
+            n = self.view(child, ctx)?;
         }
-        None
+        Ok((n, path))
     }
 
-    /// Read a leaf's live entries into DRAM (dead slots skipped).
-    fn live_entries(&self, n: PAddr, ctx: &mut MemCtx) -> Vec<(u64, u64)> {
-        let cnt = self.count(n, ctx);
-        (0..cnt)
-            .map(|i| self.entry(n, i, ctx))
-            .filter(|&(_, v)| v != 0)
-            .collect()
+    /// The *live* entry for `key` in (unsorted) leaf `leaf` as `(slot,
+    /// value)`. Slots with a zero value word are dead (removed or torn
+    /// mid-publish).
+    fn find_in_leaf(&self, leaf: &NodeView, key: u64, ctx: &mut MemCtx) -> Option<(u64, u64)> {
+        let mut buf = NO_ENTRIES;
+        (0..)
+            .zip(self.entries(leaf, &mut buf, ctx))
+            .find(|&(_, &(k, v))| v != 0 && k == key)
+            .map(|(i, &(_, v))| (i, v))
     }
 
-    /// Read an inner node's entries into DRAM (all slots are live).
-    fn entries_vec(&self, n: PAddr, ctx: &mut MemCtx) -> Vec<(u64, u64)> {
-        let cnt = self.count(n, ctx);
-        (0..cnt).map(|i| self.entry(n, i, ctx)).collect()
+    /// The address of `key`'s live value word, and the value. A corrupt
+    /// node on the way finds nothing.
+    fn locate(&self, key: u64, ctx: &mut MemCtx) -> Option<(PAddr, u64)> {
+        let (leaf, _) = self.descend(key, ctx).ok()?;
+        let (i, v) = self.find_in_leaf(&leaf, key, ctx)?;
+        Some((value_word(leaf.at, i), v))
     }
 
     /// Store (and write back) the persistent `splitting` flag.
@@ -418,32 +562,36 @@ impl NbTree {
     /// chain: the deepest ancestor where the descent did not take child
     /// 0 holds the predecessor's subtree at `idx - 1`. `None` means
     /// `left` is the first leaf (every descent step took child 0).
-    fn find_pred(&self, path: &[(PAddr, u64)], ctx: &mut MemCtx) -> Option<PAddr> {
-        for &(inner, idx) in path.iter().rev() {
-            if idx > 0 {
-                let (_, c) = self.entry(inner, idx - 1, ctx);
-                let mut n = PAddr(c);
-                while !self.is_leaf(n, ctx) {
-                    let cnt = self.count(n, ctx);
-                    let (_, c) = self.entry(n, cnt - 1, ctx);
-                    n = PAddr(c);
-                }
-                return Some(n);
+    fn find_pred(
+        &self,
+        path: &[(NodeView, u64)],
+        ctx: &mut MemCtx,
+    ) -> Result<Option<PAddr>, IndexError> {
+        let Some(&(inner, idx)) = path.iter().rev().find(|&&(_, idx)| idx > 0) else {
+            return Ok(None);
+        };
+        let mut n = self.view(self.child(&inner, idx - 1, ctx), ctx)?;
+        for _ in 0..MAX_DEPTH {
+            if n.leaf {
+                return Ok(Some(n.at));
             }
+            n = self.view(self.child(&n, n.count - 1, ctx), ctx)?;
         }
-        None
+        Err(IndexError::Corrupt(format!(
+            "btree predecessor walk exceeds {MAX_DEPTH} levels (cycle)"
+        )))
     }
 
     /// Copy-on-write split of the full leaf `left`, inserting
-    /// `(key, val)` along the way. Builds and flushes replacement leaves
-    /// `nl`/`nr` off-chain, publishes them with one atomic pointer
-    /// swing, repoints the inner structure, and retires `left` — all
-    /// inside the `splitting` flag window (see the module docs for the
-    /// exact event ordering).
+    /// `(key, val)` along the way. Builds replacement leaves `nl`/`nr`
+    /// in DRAM, stores and flushes each off-chain, publishes them with
+    /// one atomic pointer swing, repoints the inner structure, and
+    /// retires `left` — all inside the `splitting` flag window (see the
+    /// module docs for the exact event ordering).
     fn split_insert(
         &self,
-        left: PAddr,
-        path: Vec<(PAddr, u64)>,
+        left: &NodeView,
+        path: Vec<(NodeView, u64)>,
         key: u64,
         val: u64,
         ctx: &mut MemCtx,
@@ -456,7 +604,8 @@ impl NbTree {
         self.fence_if_adr(ctx);
 
         // 2. Build both replacement leaves off-chain.
-        let mut ents = self.live_entries(left, ctx);
+        let mut buf = NO_ENTRIES;
+        let ents = self.live_entries(left, &mut buf, ctx);
         ents.sort_unstable_by_key(|e| e.0);
         let mid = ents.len() / 2;
         let median = ents[mid].0;
@@ -464,32 +613,23 @@ impl NbTree {
         let nr = self.nodes.alloc_node(ctx)?;
         self.t_log(nl, NODE, ctx);
         self.t_log(nr, NODE, ctx);
-        self.init_node(nl, true, ctx);
-        for (i, &(k, v)) in ents[..mid].iter().enumerate() {
-            self.set_entry(nl, i as u64, k, v, ctx);
-        }
-        self.dev.store_u64(nl.add(N_COUNT), mid as u64, ctx);
-        self.init_node(nr, true, ctx);
-        for (i, &(k, v)) in ents[mid..].iter().enumerate() {
-            self.set_entry(nr, i as u64, k, v, ctx);
-        }
-        self.dev
-            .store_u64(nr.add(N_COUNT), (ents.len() - mid) as u64, ctx);
-        let left_next = self.dev.load_u64(left.add(N_NEXT), ctx);
-        self.dev.store_u64(nr.add(N_NEXT), left_next, ctx);
-        self.dev.store_u64(nl.add(N_NEXT), nr.0, ctx);
+        let left_next = self.dev.load_u64(left.at.add(N_NEXT), ctx);
+        let mut lo = NodeImage::new(true, nr.0);
+        let mut hi = NodeImage::new(true, left_next);
+        ents[..mid].iter().for_each(|&e| lo.push(e));
+        ents[mid..].iter().for_each(|&e| hi.push(e));
         // The triggering key goes straight into its half — unpublished
         // nodes need no ordered append.
-        let tgt = if key < median { nl } else { nr };
-        let tcnt = self.count(tgt, ctx);
-        self.set_entry(tgt, tcnt, key, val, ctx);
-        self.dev.store_u64(tgt.add(N_COUNT), tcnt + 1, ctx);
+        let half = if key < median { &mut lo } else { &mut hi };
+        half.push((key, val));
+        self.store_node(nl, &lo, ctx);
+        self.store_node(nr, &hi, ctx);
         self.wbr(nl, NODE, ctx);
         self.wbr(nr, NODE, ctx);
         self.fence_if_adr(ctx);
 
         // 3. Publish: one atomic 8-byte swing onto the leaf chain.
-        let swing = match self.find_pred(&path, ctx) {
+        let swing = match self.find_pred(&path, ctx)? {
             Some(pred) => pred.add(N_NEXT),
             None => self.root_slot.add(R_FIRST_LEAF),
         };
@@ -515,44 +655,67 @@ impl NbTree {
         self.t_split_end(ctx);
 
         // 6. Retire the old left leaf (worst case on a cut: a leak).
-        self.nodes.free_node(left, ctx);
+        self.nodes.free_node(left.at, ctx);
         Ok(())
     }
 
-    /// Split a full inner node (kept sorted), returning `(median,
-    /// right)`. In-place: the flag window covers torn inner state.
-    fn split_inner(&self, left: PAddr, ctx: &mut MemCtx) -> Result<(u64, PAddr), IndexError> {
-        let ents = self.entries_vec(left, ctx);
+    /// Split the full, sorted inner node `left` around its median and
+    /// insert `(sep, child)` into the proper half, returning `(median,
+    /// right)`. The right half is built in DRAM (with the new entry if
+    /// it sorts there) and stored with one write; the left half shrinks
+    /// in place. The flag window covers torn inner state.
+    fn split_inner(
+        &self,
+        left: &NodeView,
+        sep: u64,
+        child: PAddr,
+        ctx: &mut MemCtx,
+    ) -> Result<(u64, PAddr), IndexError> {
+        let mut buf = NO_ENTRIES;
+        let ents = self.entries(left, &mut buf, ctx);
         let mid = ents.len() / 2;
         let median = ents[mid].0;
         let right = self.nodes.alloc_node(ctx)?;
         self.t_log(right, NODE, ctx);
-        self.init_node(right, false, ctx);
-        for (i, &(k, v)) in ents[mid..].iter().enumerate() {
-            self.set_entry(right, i as u64, k, v, ctx);
+        let extra = (sep >= median).then_some((sep, child.0));
+        let ins = mid + ents[mid..].partition_point(|e| e.0 <= sep);
+        let mut img = NodeImage::new(false, 0);
+        for &e in ents[mid..ins].iter().chain(&extra).chain(&ents[ins..]) {
+            img.push(e);
         }
-        self.dev
-            .store_u64(right.add(N_COUNT), (ents.len() - mid) as u64, ctx);
-        self.dev.store_u64(left.add(N_COUNT), mid as u64, ctx);
+        self.store_node(right, &img, ctx);
+        self.dev.store_u64(left.at.add(N_COUNT), mid as u64, ctx);
+        if extra.is_none() {
+            let shrunk = NodeView {
+                count: mid as u64,
+                ..*left
+            };
+            self.inner_insert_at(&shrunk, sep, child, ctx);
+        }
         Ok((median, right))
     }
 
-    /// Insert `(sep, child)` into the sorted inner node (not full).
-    fn inner_insert_at(&self, inner: PAddr, sep: u64, child: PAddr, ctx: &mut MemCtx) {
-        let cnt = self.count(inner, ctx);
-        debug_assert!(cnt < CAP);
-        // Shift entries greater than sep one slot right.
-        let mut pos = cnt;
-        while pos > 0 {
-            let (k, v) = self.entry(inner, pos - 1, ctx);
-            if k <= sep {
-                break;
-            }
-            self.set_entry(inner, pos, k, v, ctx);
-            pos -= 1;
+    /// Insert `(sep, child)` into the sorted inner node `inner` (not
+    /// full) after every entry `<= sep`: one read of the entries, one
+    /// write of the shifted tail, then the count.
+    fn inner_insert_at(&self, inner: &NodeView, sep: u64, child: PAddr, ctx: &mut MemCtx) {
+        debug_assert!(inner.count < CAP);
+        let mut buf = NO_ENTRIES;
+        let ents = self.entries(inner, &mut buf, ctx);
+        let pos = ents.partition_point(|e| e.0 <= sep);
+        let tail = std::iter::once((sep, child.0)).chain(ents[pos..].iter().copied());
+        let mut raw = [0u8; CAP as usize * 16];
+        for (i, e) in (0..).zip(tail) {
+            put_entry(&mut raw, i, e);
         }
-        self.set_entry(inner, pos, sep, child.0, ctx);
-        self.dev.store_u64(inner.add(N_COUNT), cnt + 1, ctx);
+        let n = ents.len() - pos + 1;
+        self.dev.write(
+            inner.at.add(N_ENTRIES + pos as u64 * 16),
+            &raw[..n * 16],
+            ctx,
+        );
+        self.dev
+            .store_u64(inner.at.add(N_COUNT), inner.count + 1, ctx);
     }
 
     /// Repoint the split leaf's parent entry at the copy-on-write
@@ -564,67 +727,56 @@ impl NbTree {
         new_child: PAddr,
         mut sep: u64,
         mut right: PAddr,
-        mut path: Vec<(PAddr, u64)>,
+        mut path: Vec<(NodeView, u64)>,
         ctx: &mut MemCtx,
     ) -> Result<(), IndexError> {
-        if let Some(&(parent, idx)) = path.last() {
-            // The parent's child pointer still names the retired leaf.
-            self.t_log(parent, NODE, ctx);
-            let va = parent.add(N_ENTRIES + idx * 16 + 8);
-            self.dev.store_u64(va, new_child.0, ctx);
-            self.wb(va, ctx);
-        } else {
+        let Some(&(parent, idx)) = path.last() else {
             // The split leaf was the root: grow with both fresh halves.
-            let new_root = self.nodes.alloc_node(ctx)?;
-            self.t_log(new_root, NODE, ctx);
-            self.init_node(new_root, false, ctx);
-            self.set_entry(new_root, 0, 0, new_child.0, ctx);
-            self.set_entry(new_root, 1, sep, right.0, ctx);
-            self.dev.store_u64(new_root.add(N_COUNT), 2, ctx);
-            self.wbr(new_root, NODE, ctx);
-            self.dev
-                .store_u64(self.root_slot.add(R_ROOT), new_root.0, ctx);
-            self.wb(self.root_slot.add(R_ROOT), ctx);
-            return Ok(());
-        }
-        loop {
-            match path.pop() {
-                Some((inner, _)) => {
-                    self.t_log(inner, NODE, ctx);
-                    if self.count(inner, ctx) < CAP {
-                        self.inner_insert_at(inner, sep, right, ctx);
-                        self.wbr(inner, NODE, ctx);
-                        return Ok(());
-                    }
-                    let (med, new_right) = self.split_inner(inner, ctx)?;
-                    // Insert into the proper half.
-                    if sep < med {
-                        self.inner_insert_at(inner, sep, right, ctx);
-                    } else {
-                        self.inner_insert_at(new_right, sep, right, ctx);
-                    }
-                    self.wbr(inner, NODE, ctx);
-                    self.wbr(new_right, NODE, ctx);
-                    sep = med;
-                    right = new_right;
-                }
-                None => {
-                    // Split reached the root: grow the tree.
-                    let old_root = self.root(ctx);
-                    let new_root = self.nodes.alloc_node(ctx)?;
-                    self.t_log(new_root, NODE, ctx);
-                    self.init_node(new_root, false, ctx);
-                    self.set_entry(new_root, 0, 0, old_root.0, ctx);
-                    self.set_entry(new_root, 1, sep, right.0, ctx);
-                    self.dev.store_u64(new_root.add(N_COUNT), 2, ctx);
-                    self.wbr(new_root, NODE, ctx);
-                    self.dev
-                        .store_u64(self.root_slot.add(R_ROOT), new_root.0, ctx);
-                    self.wb(self.root_slot.add(R_ROOT), ctx);
-                    return Ok(());
-                }
+            return self.grow_root(new_child, sep, right, ctx);
+        };
+        // The parent's child pointer still names the retired leaf.
+        self.t_log(parent.at, NODE, ctx);
+        let va = value_word(parent.at, idx);
+        self.dev.store_u64(va, new_child.0, ctx);
+        self.wb(va, ctx);
+        while let Some((inner, _)) = path.pop() {
+            self.t_log(inner.at, NODE, ctx);
+            if inner.count < CAP {
+                self.inner_insert_at(&inner, sep, right, ctx);
+                self.wbr(inner.at, NODE, ctx);
+                return Ok(());
             }
+            let (med, new_right) = self.split_inner(&inner, sep, right, ctx)?;
+            self.wbr(inner.at, NODE, ctx);
+            self.wbr(new_right, NODE, ctx);
+            sep = med;
+            right = new_right;
         }
+        // The split reached the root: grow the tree.
+        let old_root = self.root(ctx);
+        self.grow_root(old_root, sep, right, ctx)
+    }
+
+    /// Publish a new two-child root `[(0, left), (sep, right)]`, built in
+    /// DRAM, stored with one write and flushed before the root swing.
+    fn grow_root(
+        &self,
+        left: PAddr,
+        sep: u64,
+        right: PAddr,
+        ctx: &mut MemCtx,
+    ) -> Result<(), IndexError> {
+        let new_root = self.nodes.alloc_node(ctx)?;
+        self.t_log(new_root, NODE, ctx);
+        let mut img = NodeImage::new(false, 0);
+        img.push((0, left.0));
+        img.push((sep, right.0));
+        self.store_node(new_root, &img, ctx);
+        self.wbr(new_root, NODE, ctx);
+        self.dev
+            .store_u64(self.root_slot.add(R_ROOT), new_root.0, ctx);
+        self.wb(self.root_slot.add(R_ROOT), ctx);
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -642,8 +794,7 @@ impl NbTree {
     /// counted in [`Index::structural_repairs`].
     pub fn recover(&self, ctx: &mut MemCtx) -> Result<(), IndexError> {
         let _g = self.tree_lock.write();
-        let cap = self.dev.capacity();
-        let max_steps = cap / NODE + 1;
+        let max_steps = self.dev.capacity() / NODE + 1;
         let first_leaf = self.dev.load_u64(self.root_slot.add(R_FIRST_LEAF), ctx);
         // Collect (min_key, leaf) for every leaf in chain order.
         let mut level: Vec<(u64, u64)> = Vec::new();
@@ -659,23 +810,9 @@ impl NbTree {
                     "btree leaf chain from {first_leaf:#x} exceeds {max_steps} nodes (cycle)"
                 )));
             }
-            if !leaf.is_multiple_of(NODE) || leaf.checked_add(NODE).is_none_or(|end| end > cap) {
-                return Err(IndexError::Corrupt(format!(
-                    "btree leaf chain pointer {leaf:#x} out of bounds"
-                )));
-            }
-            let n = PAddr(leaf);
-            if !self.is_leaf(n, ctx) {
-                return Err(IndexError::Corrupt(format!(
-                    "btree leaf chain node {leaf:#x} is not tagged as a leaf"
-                )));
-            }
-            if self.count(n, ctx) > CAP {
-                return Err(IndexError::Corrupt(format!(
-                    "btree leaf {leaf:#x} claims more than {CAP} entries"
-                )));
-            }
-            let ents = self.live_entries(n, ctx);
+            let n = self.chain_view(PAddr(leaf), ctx)?;
+            let mut buf = NO_ENTRIES;
+            let ents = self.live_entries(&n, &mut buf, ctx);
             live += ents.len() as u64;
             let min = ents.iter().map(|e| e.0).min();
             if let (Some(m), Some(p)) = (min, prev_min) {
@@ -696,7 +833,7 @@ impl NbTree {
             }
             // Empty non-first leaves are skipped: they stay on the chain
             // for scans but hold nothing a point lookup could find.
-            leaf = self.dev.load_u64(n.add(N_NEXT), ctx);
+            leaf = self.dev.load_u64(n.at.add(N_NEXT), ctx);
             first = false;
         }
         if level.is_empty() {
@@ -710,12 +847,9 @@ impl NbTree {
             let mut parents: Vec<(u64, u64)> = Vec::new();
             for chunk in level.chunks(CAP as usize) {
                 let inner = self.nodes.alloc_node(ctx)?;
-                self.init_node(inner, false, ctx);
-                for (i, &(k, c)) in chunk.iter().enumerate() {
-                    self.set_entry(inner, i as u64, k, c, ctx);
-                }
-                self.dev
-                    .store_u64(inner.add(N_COUNT), chunk.len() as u64, ctx);
+                let mut img = NodeImage::new(false, 0);
+                chunk.iter().for_each(|&e| img.push(e));
+                self.store_node(inner, &img, ctx);
                 self.wbr(inner, NODE, ctx);
                 parents.push((chunk[0].0, inner.0));
             }
@@ -747,12 +881,11 @@ impl NbTree {
         let root = self.root(ctx);
         let mut depth = 1;
         let mut n = root;
-        while !self.is_leaf(n, ctx) {
+        while self.dev.load_u64(n.add(N_LEAF), ctx) == 0 {
             depth += 1;
-            let (_, c) = self.entry(n, 0, ctx);
-            n = PAddr(c);
+            n = PAddr(self.dev.load_u64(value_word(n, 0), ctx));
         }
-        (depth, self.count(root, ctx))
+        (depth, self.dev.load_u64(root.add(N_COUNT), ctx))
     }
 }
 
@@ -807,12 +940,13 @@ impl Index for NbTree {
             return Err(IndexError::ZeroValue);
         }
         let _g = self.tree_lock.write();
-        let (leaf, path) = self.descend(key, ctx);
-        // One pass: duplicate check over live slots, first hole found.
-        let cnt = self.count(leaf, ctx);
+        let (leaf, path) = self.descend(key, ctx)?;
+        // One pass over one read: duplicate check over live slots, first
+        // hole found.
+        let (cnt, at) = (leaf.count, leaf.at);
+        let mut buf = NO_ENTRIES;
         let mut hole = None;
-        for i in 0..cnt {
-            let (k, v) = self.entry(leaf, i, ctx);
+        for (i, &(k, v)) in (0..).zip(self.entries(&leaf, &mut buf, ctx)) {
             if v != 0 {
                 if k == key {
                     return Err(IndexError::Duplicate);
@@ -824,7 +958,7 @@ impl Index for NbTree {
         if let Some(h) = hole {
             // Reuse a dead slot: key first, value second, separately
             // written back — the slot stays dead until the value lands.
-            let ea = leaf.add(N_ENTRIES + h * 16);
+            let ea = at.add(N_ENTRIES + h * 16);
             self.dev.store_u64(ea, key, ctx);
             self.wb(ea, ctx);
             self.dev.store_u64(ea.add(8), val, ctx);
@@ -833,17 +967,17 @@ impl Index for NbTree {
             // Append (unsorted leaf): the entry is beyond the count word
             // until the count's own write-back, so a cut can only hide
             // it, never expose half of it.
-            let ea = leaf.add(N_ENTRIES + cnt * 16);
+            let ea = at.add(N_ENTRIES + cnt * 16);
             self.dev.store_u64(ea, key, ctx);
             self.wb(ea, ctx);
             self.dev.store_u64(ea.add(8), val, ctx);
             self.wb(ea.add(8), ctx);
-            self.dev.store_u64(leaf.add(N_COUNT), cnt + 1, ctx);
-            self.wb(leaf.add(N_COUNT), ctx);
+            self.dev.store_u64(at.add(N_COUNT), cnt + 1, ctx);
+            self.wb(at.add(N_COUNT), ctx);
         } else {
             // The split path moves the count itself, inside the flag
             // window — see `split_insert`.
-            return self.split_insert(leaf, path, key, val, ctx);
+            return self.split_insert(&leaf, path, key, val, ctx);
         }
         self.dev.fetch_add_u64(self.root_slot.add(R_COUNT), 1, ctx);
         self.wb(self.root_slot.add(R_COUNT), ctx);
@@ -852,9 +986,7 @@ impl Index for NbTree {
 
     fn get(&self, key: u64, ctx: &mut MemCtx) -> Option<u64> {
         let _g = self.tree_lock.read();
-        let (leaf, _) = self.descend(key, ctx);
-        self.find_in_leaf(leaf, key, ctx)
-            .map(|i| self.entry(leaf, i, ctx).1)
+        self.locate(key, ctx).map(|(_, v)| v)
     }
 
     fn update(&self, key: u64, val: u64, ctx: &mut MemCtx) -> bool {
@@ -862,37 +994,29 @@ impl Index for NbTree {
             return false;
         }
         let _g = self.tree_lock.write();
-        let (leaf, _) = self.descend(key, ctx);
-        match self.find_in_leaf(leaf, key, ctx) {
-            Some(i) => {
-                // A single atomic value-word store: old or new, never
-                // torn across key and value.
-                let va = leaf.add(N_ENTRIES + i * 16 + 8);
-                self.dev.store_u64(va, val, ctx);
-                self.wb(va, ctx);
-                true
-            }
-            None => false,
-        }
+        let Some((va, _)) = self.locate(key, ctx) else {
+            return false;
+        };
+        // A single atomic value-word store: old or new, never torn
+        // across key and value.
+        self.dev.store_u64(va, val, ctx);
+        self.wb(va, ctx);
+        true
     }
 
     fn remove(&self, key: u64, ctx: &mut MemCtx) -> bool {
         let _g = self.tree_lock.write();
-        let (leaf, _) = self.descend(key, ctx);
-        match self.find_in_leaf(leaf, key, ctx) {
-            Some(i) => {
-                // One atomic dead-store of the value word; the slot
-                // becomes a hole later inserts may reuse.
-                let va = leaf.add(N_ENTRIES + i * 16 + 8);
-                self.dev.store_u64(va, 0, ctx);
-                self.wb(va, ctx);
-                self.dev
-                    .fetch_add_u64(self.root_slot.add(R_COUNT), u64::MAX, ctx);
-                self.wb(self.root_slot.add(R_COUNT), ctx);
-                true
-            }
-            None => false,
-        }
+        let Some((va, _)) = self.locate(key, ctx) else {
+            return false;
+        };
+        // One atomic dead-store of the value word; the slot becomes a
+        // hole later inserts may reuse.
+        self.dev.store_u64(va, 0, ctx);
+        self.wb(va, ctx);
+        self.dev
+            .fetch_add_u64(self.root_slot.add(R_COUNT), u64::MAX, ctx);
+        self.wb(self.root_slot.add(R_COUNT), ctx);
+        true
     }
 
     fn scan(
@@ -904,20 +1028,12 @@ impl Index for NbTree {
     ) -> Result<(), IndexError> {
         let _g = self.tree_lock.read();
         let max_steps = self.dev.capacity() / NODE + 1;
-        let mut steps = 0u64;
-        let (mut leaf, _) = self.descend(lo, ctx);
-        while leaf.0 != 0 {
-            steps += 1;
-            if steps > max_steps {
-                // A cyclic leaf chain (corruption): error out instead of
-                // scanning forever.
-                return Err(IndexError::Corrupt(format!(
-                    "btree leaf chain exceeds {max_steps} nodes during scan (cycle)"
-                )));
-            }
-            let mut ents = self.live_entries(leaf, ctx);
+        let (mut leaf, _) = self.descend(lo, ctx)?;
+        for _ in 0..max_steps {
+            let mut buf = NO_ENTRIES;
+            let ents = self.live_entries(&leaf, &mut buf, ctx);
             ents.sort_unstable_by_key(|e| e.0);
-            for &(k, v) in &ents {
+            for &(k, v) in &*ents {
                 if k > hi {
                     return Ok(());
                 }
@@ -926,9 +1042,16 @@ impl Index for NbTree {
                 }
             }
             // An empty leaf or one fully below hi: continue the chain.
-            leaf = PAddr(self.dev.load_u64(leaf.add(N_NEXT), ctx));
+            match self.dev.load_u64(leaf.at.add(N_NEXT), ctx) {
+                0 => return Ok(()),
+                next => leaf = self.chain_view(PAddr(next), ctx)?,
+            }
         }
-        Ok(())
+        // A cyclic leaf chain (corruption): error out instead of
+        // scanning forever.
+        Err(IndexError::Corrupt(format!(
+            "btree leaf chain exceeds {max_steps} nodes during scan (cycle)"
+        )))
     }
 
     fn supports_scan(&self) -> bool {
@@ -958,7 +1081,7 @@ impl Index for NbTree {
             n = self.dev.load_u64(PAddr(n).add(N_NEXT), ctx);
         }
         let leaf = self.nodes.alloc_node(ctx).expect("clear allocation");
-        self.init_node(leaf, true, ctx);
+        self.store_node(leaf, &NodeImage::new(true, 0), ctx);
         self.wbr(leaf, 32, ctx);
         self.set_splitting(true, ctx);
         self.fence_if_adr(ctx);
@@ -1324,5 +1447,257 @@ mod tests {
             }
         });
         assert_eq!(t.len(&mut ctx), 2000);
+    }
+
+    // --------------------------------------------------------------
+    // Forged counts: a rotted count word never reads past its node.
+    // --------------------------------------------------------------
+
+    /// Trees whose count word rotted after they were built: the only
+    /// leaf of a 10-key tree with a count far past the node, and the
+    /// root of a two-level tree with a count past the node or zero.
+    /// Key 5 was inserted into each.
+    fn forged() -> Vec<(String, NbTree, MemCtx)> {
+        [(10, 1 << 40), (500, 1 << 40), (500, 0)]
+            .into_iter()
+            .map(|(keys, count)| {
+                let (_, t, mut ctx) = fresh();
+                for k in 1..=keys {
+                    t.insert(k, k, &mut ctx).unwrap();
+                }
+                let root = t.root(&mut ctx);
+                assert_eq!(t.view(root, &mut ctx).unwrap().leaf, keys == 10);
+                t.dev.store_u64(root.add(N_COUNT), count, &mut ctx);
+                let what = if keys == 10 { "leaf" } else { "inner" };
+                (format!("{what} count {count}"), t, ctx)
+            })
+            .collect()
+    }
+
+    /// Run `op` on every forged tree and check it read no further than
+    /// the root slot and the rotted node's header.
+    fn on_forged(mut op: impl FnMut(&str, &NbTree, &mut MemCtx)) {
+        for (what, t, mut ctx) in forged() {
+            let before = ctx.stats.accesses;
+            op(&what, &t, &mut ctx);
+            assert!(
+                ctx.stats.accesses - before <= 2,
+                "{what}: {} accesses, expected the root slot and one header",
+                ctx.stats.accesses - before
+            );
+        }
+    }
+
+    #[test]
+    fn forged_count_get_finds_nothing() {
+        for key in [5, 11] {
+            on_forged(|what, t, ctx| assert_eq!(t.get(key, ctx), None, "{what}"));
+        }
+    }
+
+    #[test]
+    fn forged_count_insert_is_corrupt() {
+        on_forged(|what, t, ctx| {
+            let r = t.insert(1_000_000, 1, ctx);
+            assert!(matches!(r, Err(IndexError::Corrupt(_))), "{what}: {r:?}");
+        });
+    }
+
+    #[test]
+    fn forged_count_update_is_refused() {
+        on_forged(|what, t, ctx| assert!(!t.update(5, 9, ctx), "{what}"));
+    }
+
+    #[test]
+    fn forged_count_remove_is_refused() {
+        on_forged(|what, t, ctx| assert!(!t.remove(5, ctx), "{what}"));
+    }
+
+    #[test]
+    fn forged_count_scan_is_corrupt() {
+        on_forged(|what, t, ctx| {
+            let r = t.scan(0, u64::MAX, ctx, &mut |_, _| true);
+            assert!(matches!(r, Err(IndexError::Corrupt(_))), "{what}: {r:?}");
+        });
+    }
+
+    #[test]
+    fn inner_pointer_cycle_is_corrupt_not_a_hang() {
+        let (_, t, mut ctx) = fresh();
+        for k in 1..=500u64 {
+            t.insert(k, k, &mut ctx).unwrap();
+        }
+        // Rot the root's first child pointer into the root itself.
+        let root = t.root(&mut ctx);
+        t.dev.store_u64(value_word(root, 0), root.0, &mut ctx);
+        assert_eq!(t.get(5, &mut ctx), None);
+        let r = t.insert(0, 1, &mut ctx);
+        assert!(matches!(r, Err(IndexError::Corrupt(_))), "{r:?}");
+    }
+
+    // --------------------------------------------------------------
+    // The view and the binary search against the per-word scans they
+    // replaced.
+    // --------------------------------------------------------------
+
+    /// Oracle: the linear inner search, two loads per slot, stopping at
+    /// the first separator above `key`.
+    fn child_for_linear(t: &NbTree, inner: PAddr, key: u64, ctx: &mut MemCtx) -> (u64, PAddr) {
+        let cnt = t.dev.load_u64(inner.add(N_COUNT), ctx);
+        let (mut idx, mut child) = (0, 0);
+        for i in 0..cnt {
+            let ea = inner.add(N_ENTRIES + i * 16);
+            let (sep, c) = (t.dev.load_u64(ea, ctx), t.dev.load_u64(ea.add(8), ctx));
+            if sep > key {
+                break;
+            }
+            (idx, child) = (i, c);
+        }
+        (idx, PAddr(child))
+    }
+
+    /// Oracle: the linear leaf search, two loads per slot.
+    fn find_in_leaf_linear(
+        t: &NbTree,
+        leaf: PAddr,
+        key: u64,
+        ctx: &mut MemCtx,
+    ) -> Option<(u64, u64)> {
+        let cnt = t.dev.load_u64(leaf.add(N_COUNT), ctx);
+        (0..cnt).find_map(|i| {
+            let ea = leaf.add(N_ENTRIES + i * 16);
+            let (k, v) = (t.dev.load_u64(ea, ctx), t.dev.load_u64(ea.add(8), ctx));
+            (v != 0 && k == key).then_some((i, v))
+        })
+    }
+
+    /// Every node reachable from the root: `(inner nodes, leaves)`.
+    fn all_nodes(t: &NbTree, ctx: &mut MemCtx) -> (Vec<NodeView>, Vec<NodeView>) {
+        let (mut inners, mut leaves) = (Vec::new(), Vec::new());
+        let mut todo = vec![t.root(ctx)];
+        while let Some(n) = todo.pop() {
+            let v = t.view(n, ctx).unwrap();
+            if v.leaf {
+                leaves.push(v);
+            } else {
+                let mut buf = NO_ENTRIES;
+                todo.extend(t.entries(&v, &mut buf, ctx).iter().map(|&(_, c)| PAddr(c)));
+                inners.push(v);
+            }
+        }
+        (inners, leaves)
+    }
+
+    /// A seeded tree of `keys` keys spaced 3 apart (so every key has
+    /// absent neighbours): inserted in order or shuffled, then every
+    /// fifth removed when `holes` is set.
+    fn seeded_tree(keys: u64, shuffled: bool, holes: bool) -> (NbTree, MemCtx) {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let (_, t, mut ctx) = fresh();
+        let mut ks: Vec<u64> = (1..=keys).map(|i| i * 3).collect();
+        if shuffled {
+            ks.shuffle(&mut rand::rngs::StdRng::seed_from_u64(keys ^ 0xB7EE));
+        }
+        for &k in &ks {
+            t.insert(k, k + 1, &mut ctx).unwrap();
+        }
+        if holes {
+            for &k in ks.iter().step_by(5) {
+                assert!(t.remove(k, &mut ctx));
+            }
+        }
+        (t, ctx)
+    }
+
+    #[test]
+    fn view_and_binary_search_match_the_linear_oracles() {
+        let mut below_first = 0;
+        for (keys, depth) in [(40, 1), (900, 2), (5_000, 3)] {
+            for (shuffled, holes) in [(false, false), (true, false), (true, true)] {
+                let (t, mut ctx) = seeded_tree(keys, shuffled, holes);
+                let ctx = &mut ctx;
+                let case = format!("{keys} keys, shuffled {shuffled}, holes {holes}");
+                assert_eq!(t.shape(ctx).0, depth, "{case}");
+                let (inners, leaves) = all_nodes(&t, ctx);
+                for inner in &inners {
+                    let mut buf = NO_ENTRIES;
+                    let seps: Vec<u64> = t
+                        .entries(inner, &mut buf, ctx)
+                        .iter()
+                        .map(|e| e.0)
+                        .collect();
+                    let probes = seps
+                        .iter()
+                        .flat_map(|&s| [s.saturating_sub(1), s, s + 1])
+                        .chain([0, u64::MAX]);
+                    for key in probes {
+                        let want = child_for_linear(&t, inner.at, key, ctx);
+                        assert_eq!(t.child_for(inner, key, ctx), want, "{case}: key {key}");
+                        below_first += usize::from(key < seps[0]);
+                    }
+                }
+                for leaf in &leaves {
+                    let mut buf = NO_ENTRIES;
+                    let slots: Vec<u64> =
+                        t.entries(leaf, &mut buf, ctx).iter().map(|e| e.0).collect();
+                    let probes = slots
+                        .iter()
+                        .flat_map(|&k| [k - 1, k, k + 1])
+                        .chain([0, u64::MAX]);
+                    for key in probes {
+                        let want = find_in_leaf_linear(&t, leaf.at, key, ctx);
+                        assert_eq!(t.find_in_leaf(leaf, key, ctx), want, "{case}: key {key}");
+                    }
+                }
+            }
+        }
+        assert!(below_first > 0, "no probe fell below a first separator");
+    }
+
+    // --------------------------------------------------------------
+    // Access budgets: a lookup pays per cache line, not per word.
+    // --------------------------------------------------------------
+
+    /// Device accesses `op` charges.
+    fn accesses(ctx: &mut MemCtx, op: impl FnOnce(&mut MemCtx)) -> u64 {
+        let before = ctx.stats.accesses;
+        op(ctx);
+        ctx.stats.accesses - before
+    }
+
+    #[test]
+    fn three_level_tree_access_budgets() {
+        let (t, mut ctx) = seeded_tree(5_000, false, false);
+        let ctx = &mut ctx;
+        assert_eq!(t.shape(ctx).0, 3);
+        // Inserted in order, so the last leaf is the one still filling:
+        // top it up to one short of full with keys past the end.
+        let mut next = 5_001 * 3;
+        while t.descend(next, ctx).unwrap().0.count < CAP - 1 {
+            t.insert(next, 1, ctx).unwrap();
+            next += 3;
+        }
+        let get = accesses(ctx, |c| assert_eq!(t.get(1_500, c), Some(1_501)));
+        let append = accesses(ctx, |c| t.insert(next, 1, c).unwrap());
+        let split = accesses(ctx, |c| t.insert(next + 3, 1, c).unwrap());
+        let mut n = 0;
+        let scan16 = accesses(ctx, |c| {
+            t.scan(1_500, u64::MAX, c, &mut |_, _| {
+                n += 1;
+                n < 16
+            })
+            .unwrap();
+        });
+        assert_eq!(n, 16);
+        // Per-word scans and builds charged 57 / 217 / 504 / 109 here;
+        // the views charge 23 / 33 / 93 / 23.
+        assert!(get <= 25, "get: {get} accesses");
+        assert!(
+            append <= 36,
+            "append into a leaf one short of full: {append} accesses"
+        );
+        assert!(split <= 100, "split of a full leaf: {split} accesses");
+        assert!(scan16 <= 26, "16-key scan: {scan16} accesses");
     }
 }

@@ -437,7 +437,12 @@ mod tests {
     /// of the server's engine loop): moving the simulator onto the
     /// shared [`GroupCommitter`] must not move any of them. `server` and
     /// `server_overload` are the `falcon_perf` suites' specs, so these
-    /// are also the `bench/BENCH_0010.json` values.
+    /// are also the `bench/BENCH_0010.json` values. `elapsed_ns` alone
+    /// was re-captured (117 820 / 966 040 / 229 788 before) when the
+    /// B⁺-tree under the key-value table began reading nodes through
+    /// one-read views: a cheaper index probe changes virtual time, and
+    /// every other field here — admission, sheds, commits, fences,
+    /// batching, retries — must still match the parent exactly.
     #[test]
     fn structural_numbers_are_pinned_to_the_parent_commit() {
         let server = SimSpec {
@@ -462,11 +467,11 @@ mod tests {
         // requests, admitted, shed, committed, fences, batch_peak,
         // mean_batch_milli, retries, elapsed_ns
         let pinned = [
-            (SimSpec::default(), [64, 64, 0, 45, 8, 8, 5625, 0, 117_820]),
-            (server, [512, 512, 0, 502, 64, 8, 7843, 0, 966_040]),
+            (SimSpec::default(), [64, 64, 0, 45, 8, 8, 5625, 0, 105_823]),
+            (server, [512, 512, 0, 502, 64, 8, 7843, 0, 814_003]),
             (
                 server_overload,
-                [512, 128, 384, 95, 16, 8, 5937, 0, 229_788],
+                [512, 128, 384, 95, 16, 8, 5937, 0, 203_355],
             ),
         ];
         for (spec, want) in pinned {

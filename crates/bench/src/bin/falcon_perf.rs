@@ -13,7 +13,7 @@
 //!
 //! `check` reruns the lineup and diffs it against a committed
 //! `bench/BENCH_*.json` with a direction-aware relative tolerance
-//! (`--tol`, else `FALCON_PERF_TOL`, else ±5 %). Exit status 1 plus a
+//! (`--tol`, else `FALCON_PERF_TOL`, else 0: exact). Exit status 1 plus a
 //! per-metric delta table when any metric regressed.
 
 use std::process::ExitCode;

@@ -36,8 +36,11 @@ use crate::{run_tpcc, run_ycsb, ycsb_cfg};
 /// diff records with different tags.
 pub const SCHEMA: &str = "falcon-bench/v1";
 
-/// Default relative tolerance for the regression gate (±5 %).
-pub const DEFAULT_TOL: f64 = 0.05;
+/// Default relative tolerance for the regression gate: 0, exact. Every
+/// gated metric is bit-exact across reruns of one tree, so any worse
+/// value is a regression; a better one passes, is listed, and is kept
+/// by committing a new baseline. `--tol` loosens it for ad-hoc diffs.
+pub const DEFAULT_TOL: f64 = 0.0;
 
 /// Suite shape shared by the whole trajectory: single worker (see the
 /// module docs for why), default seed, fixed sizes.

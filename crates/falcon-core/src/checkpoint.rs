@@ -8,10 +8,10 @@
 //! window. The checkpoint protocol bounds it:
 //!
 //! 1. **Write back** the dirty tuple lines that the selective-flush
-//!    hot skip left cache-resident (`clwb` under ADR; a no-op under
-//!    eADR, where the cache already sits in the persistence domain),
-//!    then fence. After this, every effect the about-to-be-truncated
-//!    redo describes is durable without the redo.
+//!    hot skip left cache-resident (`clwb` under ADR, in ascending line
+//!    order; a no-op under eADR, where the cache already sits in the
+//!    persistence domain), then fence. After this, every effect the
+//!    about-to-be-truncated redo describes is durable without the redo.
 //! 2. **Publish** the new snapshot epoch and the spill-tail mark with a
 //!    single fenced atomic swing: the `(epoch, mark, crc)` triple goes
 //!    to the *inactive* bank of a double-banked per-thread record, is
@@ -261,9 +261,14 @@ pub(crate) fn run(e: &Engine, w: &mut Worker, boundary: bool) {
     let ap = w.ctx.attr_phase(Phase::Checkpoint as usize);
     // 1. Dirty write-back, fenced before the publish: once the epoch
     // swings, the redo behind the mark may be truncated, so the data it
-    // described must already be durable.
+    // described must already be durable. Drained in ascending line
+    // order: the set's iteration order is per-instance random, and
+    // under ADR the `clwb` order decides XPBuffer merging and so the
+    // virtual clock.
     w.ckpt.dirty_peak = w.ckpt.dirty_peak.max(w.ckpt_dirty.len() as u64);
-    for line in w.ckpt_dirty.drain() {
+    let mut lines: Vec<u64> = w.ckpt_dirty.drain().collect();
+    lines.sort_unstable();
+    for line in lines {
         e.dev.clwb_if_adr(PAddr(line), &mut w.ctx);
         w.ckpt.dirty_writebacks += 1;
     }

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use pmem_sim::{MemCtx, PAddr, PersistDomain, PmemDevice};
 
 use falcon_storage::tuple::{TupleRef, FLAG_DELETED, HDR_DATA};
-use falcon_storage::{Catalog, NvmAllocator, MAX_THREADS};
+use falcon_storage::{Catalog, NvmAllocator, StorageError, MAX_THREADS};
 
 use crate::checkpoint::{self, CkptRead};
 use crate::config::{CcAlgo, EngineConfig, IndexLocation, UpdateStrategy};
@@ -153,7 +153,7 @@ pub fn recover(
             if cfg.index == IndexLocation::Dram {
                 // DRAM indexes must be rebuilt from the heap: this is
                 // what makes "Falcon (DRAM Index)" recovery slow.
-                rebuild_dram_indexes(&tables, &mut report, &mut ctx);
+                rebuild_dram_indexes(&tables, &mut report, &mut ctx)?;
             }
         }
         UpdateStrategy::OutOfPlace => {
@@ -178,7 +178,7 @@ pub fn recover(
                 &mut max_ts,
                 &mut report,
                 &mut ctx,
-            );
+            )?;
         }
     }
     report.replay_ns = ctx.clock - replay_start;
@@ -422,11 +422,15 @@ fn replay_windows(
 }
 
 /// Rebuild volatile DRAM indexes by scanning every heap slot.
-fn rebuild_dram_indexes(tables: &[Table], report: &mut RecoveryReport, ctx: &mut MemCtx) {
+fn rebuild_dram_indexes(
+    tables: &[Table],
+    report: &mut RecoveryReport,
+    ctx: &mut MemCtx,
+) -> Result<(), EngineError> {
     for table in tables {
         let dev = table.heap.device().clone();
         let mut entries: Vec<(u64, u64, u64)> = Vec::new(); // (key, addr, sec)
-        table.heap.scan(ctx, |tuple, ctx| {
+        let scanned = table.heap.scan(ctx, |tuple, ctx| {
             report.tuples_scanned += 1;
             let flags = tuple.flags(&dev, ctx);
             if flags & (FLAG_DELETED | FLAG_OBSOLETE) != 0 {
@@ -441,6 +445,7 @@ fn rebuild_dram_indexes(tables: &[Table], report: &mut RecoveryReport, ctx: &mut
                 .unwrap_or(0);
             entries.push((key, tuple.addr.0, sec));
         });
+        scanned.map_err(heap_corrupt)?;
         for (key, addr, sec) in entries {
             let _ = table.primary.insert(key, addr, ctx);
             if let Some(s) = &table.secondary {
@@ -448,6 +453,12 @@ fn rebuild_dram_indexes(tables: &[Table], report: &mut RecoveryReport, ctx: &mut
             }
         }
     }
+    Ok(())
+}
+
+/// A heap walk that hit a forged page word: the image is corrupt.
+fn heap_corrupt(e: StorageError) -> EngineError {
+    EngineError::Corrupt(format!("heap scan: {e}"))
 }
 
 /// The ZenS/Outp recovery scan: find the latest committed version of
@@ -467,7 +478,7 @@ fn scan_rebuild_out_of_place(
     max_ts: &mut u64,
     report: &mut RecoveryReport,
     ctx: &mut MemCtx,
-) {
+) -> Result<(), EngineError> {
     // Per-thread commit watermarks bound which TIDs committed.
     let mut wm = [0u64; 256];
     for (t, w) in wm.iter_mut().enumerate().take(MAX_THREADS) {
@@ -479,7 +490,7 @@ fn scan_rebuild_out_of_place(
         // committed version.
         let mut latest: HashMap<u64, (u64, u64, u64, bool)> = HashMap::new();
         let mut garbage: Vec<u64> = Vec::new();
-        table.heap.scan(ctx, |tuple, ctx| {
+        let scanned = table.heap.scan(ctx, |tuple, ctx| {
             report.tuples_scanned += 1;
             let flags = tuple.flags(dev, ctx);
             if flags & FLAG_DELETED != 0 {
@@ -520,6 +531,7 @@ fn scan_rebuild_out_of_place(
                 }
             }
         });
+        scanned.map_err(heap_corrupt)?;
         // Point the indexes at the winners (repairing NVM indexes whose
         // update raced the crash; rebuilding DRAM indexes from empty),
         // and kill keys whose winner is a tombstone.
@@ -572,4 +584,5 @@ fn scan_rebuild_out_of_place(
         }
     }
     let _ = epoch;
+    Ok(())
 }

@@ -208,6 +208,32 @@ fn corrupt_watermark_root_is_a_typed_error() {
     ));
 }
 
+/// Recovery's heap pass (DRAM-index rebuild, out-of-place scan) on an
+/// image whose first heap page's next-page word is forged out of range:
+/// a typed error, not a wild device read.
+#[test]
+fn forged_heap_next_pointer_is_a_typed_error() {
+    const PH_NEXT: u64 = 32; // heap page header: next-page word
+    for cfg in [EngineConfig::falcon_dram_index(), EngineConfig::outp()] {
+        let cfg = cfg.with_threads(1);
+        let (dev, e) = fresh(&cfg);
+        workload(&e, 5);
+        drop(e);
+        dev.crash();
+        let mut ctx = MemCtx::new(0);
+        let catalog = Catalog::open(dev.clone(), &mut ctx).unwrap();
+        let page = catalog.heap_head(TABLE, 0, &mut ctx);
+        assert_ne!(page, 0, "{}: thread 0 owns a heap page", cfg.name);
+        dev.store_u64(PAddr(page + PH_NEXT), 1 << 40, &mut ctx);
+        match recover(dev, cfg.clone(), &[kv_def()]) {
+            Err(EngineError::Corrupt(msg)) => {
+                assert!(msg.contains("heap"), "{}: {msg}", cfg.name);
+            }
+            other => panic!("{}: expected Corrupt, got {other:?}", cfg.name),
+        }
+    }
+}
+
 #[test]
 fn double_recovery_is_idempotent() {
     let cfg = EngineConfig::falcon().with_threads(1);

@@ -532,5 +532,5 @@ fn delete_then_reinsert_recycles_slot() {
     let mut ctx = MemCtx::new(0);
     // Slots are recycled through the delete list: far fewer than 10
     // distinct slots should be live.
-    assert!(e.table(TABLE).heap.allocated_slots(&mut ctx) <= 10);
+    assert!(e.table(TABLE).heap.allocated_slots(&mut ctx).unwrap() <= 10);
 }

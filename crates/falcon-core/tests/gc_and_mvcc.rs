@@ -121,7 +121,7 @@ fn outp_garbage_slots_are_recycled() {
     }
     let mut ctx = MemCtx::new(0);
     let heap = &e.table(TABLE).heap;
-    let allocated = heap.allocated_slots(&mut ctx);
+    let allocated = heap.allocated_slots(&mut ctx).unwrap();
     let on_delete_list = heap.delete_list_len(0, &mut ctx);
     // allocated counts every slot ever carved from pages minus reuse;
     // with recycling, carve count stays well below the update count.
@@ -146,7 +146,7 @@ fn delete_heavy_workload_recycles_through_delete_lists() {
         t.commit().unwrap();
     }
     let mut ctx = MemCtx::new(0);
-    let allocated = e.table(TABLE).heap.allocated_slots(&mut ctx);
+    let allocated = e.table(TABLE).heap.allocated_slots(&mut ctx).unwrap();
     assert!(
         allocated < 100,
         "delete-list recycling failed: {allocated} slots carved for 300 cycles"

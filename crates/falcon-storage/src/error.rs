@@ -38,6 +38,16 @@ pub enum StorageError {
         /// Actual capacity.
         have: u64,
     },
+    /// A tuple-heap page chain failed a structural check during a walk
+    /// (see `TupleHeap::scan`).
+    CorruptHeap {
+        /// The table whose heap failed.
+        table: u32,
+        /// The page address that failed the check.
+        page: u64,
+        /// Which check failed.
+        what: &'static str,
+    },
 }
 
 impl core::fmt::Display for StorageError {
@@ -57,6 +67,9 @@ impl core::fmt::Display for StorageError {
             StorageError::BadSlotSize { size } => write!(f, "bad tuple slot size {size}"),
             StorageError::DeviceTooSmall { need, have } => {
                 write!(f, "device too small: need {need} bytes, have {have}")
+            }
+            StorageError::CorruptHeap { table, page, what } => {
+                write!(f, "table {table} heap page {page:#x}: {what}")
             }
         }
     }

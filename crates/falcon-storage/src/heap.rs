@@ -19,7 +19,7 @@ use pmem_sim::{MemCtx, PAddr, PmemDevice};
 use crate::alloc::NvmAllocator;
 use crate::catalog::{Catalog, TableId};
 use crate::error::StorageError;
-use crate::layout::PAGE_SIZE;
+use crate::layout::{PAGE_ARENA, PAGE_SIZE};
 use crate::schema::Schema;
 use crate::tuple::{slot_size, TupleRef};
 use crate::MAX_THREADS;
@@ -233,18 +233,28 @@ impl TupleHeap {
     /// Visit every allocated slot of the heap (including deleted ones:
     /// the callback can check the delete flag). This is the full-heap
     /// scan that out-of-place engines pay during recovery.
-    pub fn scan(&self, ctx: &mut MemCtx, mut f: impl FnMut(TupleRef, &mut MemCtx)) {
+    ///
+    /// The walk trusts no persistent word: before a page's slots are
+    /// visited, the page address must be a page-aligned arena page
+    /// inside the device, seen nowhere else in the heap, and carry the
+    /// heap magic, and its used count must fit the page. A failed check
+    /// ends the walk with [`StorageError::CorruptHeap`]. The checks are
+    /// host-side arithmetic plus one uncharged peek, so an intact
+    /// heap's walk costs the same device accesses as an unchecked one.
+    pub fn scan(
+        &self,
+        ctx: &mut MemCtx,
+        mut f: impl FnMut(TupleRef, &mut MemCtx),
+    ) -> Result<(), StorageError> {
+        let mut seen = std::collections::HashSet::new();
         for t in 0..MAX_THREADS {
             let mut page = self.catalog.heap_head(self.table, t, ctx);
             while page != 0 {
-                // Uncharged peek: assertions stay off the virtual clock.
-                #[cfg(debug_assertions)]
-                {
-                    let mut magic = [0u8; 8];
-                    self.dev.raw_read(PAddr(page + PH_MAGIC), &mut magic);
-                    assert_eq!(u64::from_le_bytes(magic), PAGE_MAGIC);
-                }
+                self.check_page(page, &mut seen)?;
                 let used = self.dev.load_u64(PAddr(page + PH_USED), ctx);
+                if used > self.slots_per_page {
+                    return Err(self.corrupt(page, "used count above the page's slots"));
+                }
                 for s in 0..used {
                     let addr = page + PAGE_HDR + s * self.slot_size;
                     f(TupleRef::new(PAddr(addr)), ctx);
@@ -252,14 +262,52 @@ impl TupleHeap {
                 page = self.dev.load_u64(PAddr(page + PH_NEXT), ctx);
             }
         }
+        Ok(())
+    }
+
+    /// Structural checks on one page address of a chain walk (no
+    /// charged device access).
+    fn check_page(
+        &self,
+        page: u64,
+        seen: &mut std::collections::HashSet<u64>,
+    ) -> Result<(), StorageError> {
+        if page < PAGE_ARENA
+            || page
+                .checked_add(PAGE_SIZE)
+                .is_none_or(|end| end > self.dev.capacity())
+        {
+            return Err(self.corrupt(page, "page pointer out of range"));
+        }
+        if !(page - PAGE_ARENA).is_multiple_of(PAGE_SIZE) {
+            return Err(self.corrupt(page, "page pointer not page-aligned"));
+        }
+        if !seen.insert(page) {
+            return Err(self.corrupt(page, "page chain revisits a page"));
+        }
+        // Uncharged peek: the check stays off the virtual clock.
+        let mut magic = [0u8; 8];
+        self.dev.raw_read(PAddr(page + PH_MAGIC), &mut magic);
+        if u64::from_le_bytes(magic) != PAGE_MAGIC {
+            return Err(self.corrupt(page, "page lacks the heap magic"));
+        }
+        Ok(())
+    }
+
+    fn corrupt(&self, page: u64, what: &'static str) -> StorageError {
+        StorageError::CorruptHeap {
+            table: self.table,
+            page,
+            what,
+        }
     }
 
     /// Number of allocated slots (including deleted ones still on delete
     /// lists). Diagnostic / test helper.
-    pub fn allocated_slots(&self, ctx: &mut MemCtx) -> u64 {
+    pub fn allocated_slots(&self, ctx: &mut MemCtx) -> Result<u64, StorageError> {
         let mut n = 0;
-        self.scan(ctx, |_, _| n += 1);
-        n
+        self.scan(ctx, |_, _| n += 1)?;
+        Ok(n)
     }
 
     /// Length of `thread`'s delete list (diagnostic; walks the list).
@@ -319,7 +367,7 @@ mod tests {
             assert!(seen.insert(s.addr.0), "slot reused");
             assert_eq!((s.addr.0 - PAGE_HDR) % heap.slot_size(), 0);
         }
-        assert_eq!(heap.allocated_slots(&mut ctx), 100);
+        assert_eq!(heap.allocated_slots(&mut ctx).unwrap(), 100);
     }
 
     #[test]
@@ -333,7 +381,7 @@ mod tests {
             pages.insert(s.addr.0 / PAGE_SIZE);
         }
         assert_eq!(pages.len(), 2, "allocation crossed into a second page");
-        assert_eq!(heap.allocated_slots(&mut ctx), n);
+        assert_eq!(heap.allocated_slots(&mut ctx).unwrap(), n);
     }
 
     #[test]
@@ -393,7 +441,7 @@ mod tests {
         let schema = cat.schema(0, &mut ctx).unwrap();
         let alloc = NvmAllocator::new(dev.clone());
         let heap2 = TupleHeap::open(alloc, cat, 0, &schema, &mut ctx).unwrap();
-        assert_eq!(heap2.allocated_slots(&mut ctx), 10);
+        assert_eq!(heap2.allocated_slots(&mut ctx).unwrap(), 10);
         assert_eq!(
             heap2.delete_list_len(0, &mut ctx),
             1,
@@ -417,8 +465,82 @@ mod tests {
             }
         }
         let mut n = 0;
-        heap.scan(&mut ctx, |_, _| n += 1);
+        heap.scan(&mut ctx, |_, _| n += 1).unwrap();
         assert_eq!(n, 20);
+    }
+
+    /// A heap of two pages (thread 0) whose first page's header word at
+    /// `off` is then overwritten with `value`; returns the scan result.
+    fn scan_forged(off: u64, value: impl FnOnce(u64, &TupleHeap) -> u64) -> StorageError {
+        let (dev, heap, mut ctx) = setup(40);
+        for _ in 0..heap.slots_per_page() + 3 {
+            heap.alloc_slot(0, 0, &mut ctx).unwrap();
+        }
+        let page = heap.catalog.heap_head(heap.table, 0, &mut ctx);
+        let v = value(page, &heap);
+        dev.store_u64(PAddr(page + off), v, &mut ctx);
+        let mut visited = 0u64;
+        let err = heap.scan(&mut ctx, |_, _| visited += 1).unwrap_err();
+        assert!(
+            visited <= 2 * heap.slots_per_page(),
+            "walk stopped: {visited}"
+        );
+        err
+    }
+
+    fn what(e: &StorageError) -> &'static str {
+        match e {
+            StorageError::CorruptHeap { what, .. } => what,
+            other => panic!("expected CorruptHeap, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn forged_next_out_of_range_is_typed() {
+        let e = scan_forged(PH_NEXT, |_, _| 1 << 40);
+        assert_eq!(what(&e), "page pointer out of range");
+        assert!(e.to_string().contains("0x10000000000"), "{e}");
+    }
+
+    #[test]
+    fn forged_next_into_the_catalog_is_typed() {
+        let e = scan_forged(PH_NEXT, |_, _| 4096);
+        assert_eq!(what(&e), "page pointer out of range");
+    }
+
+    #[test]
+    fn forged_next_misaligned_is_typed() {
+        let e = scan_forged(PH_NEXT, |page, _| page + PAGE_SIZE + 64);
+        assert_eq!(what(&e), "page pointer not page-aligned");
+    }
+
+    #[test]
+    fn forged_next_cycle_is_typed() {
+        let e = scan_forged(PH_NEXT, |page, _| page);
+        assert_eq!(what(&e), "page chain revisits a page");
+    }
+
+    #[test]
+    fn forged_next_to_a_non_heap_page_is_typed() {
+        // An in-range, aligned page that was never a heap page.
+        let e = scan_forged(PH_NEXT, |_, h| {
+            crate::layout::page_addr(h.alloc.pages_total() - 1).0
+        });
+        assert_eq!(what(&e), "page lacks the heap magic");
+    }
+
+    #[test]
+    fn forged_used_count_is_typed() {
+        let e = scan_forged(PH_USED, |_, h| h.slots_per_page() + 1);
+        assert_eq!(what(&e), "used count above the page's slots");
+        let e = scan_forged(PH_USED, |_, _| u64::MAX);
+        assert_eq!(what(&e), "used count above the page's slots");
+    }
+
+    #[test]
+    fn forged_magic_is_typed() {
+        let e = scan_forged(PH_MAGIC, |_, _| 0);
+        assert_eq!(what(&e), "page lacks the heap magic");
     }
 
     #[test]

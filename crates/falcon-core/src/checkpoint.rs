@@ -33,7 +33,6 @@
 //! page — a zeroed swing word reads as "no checkpoint", so pre-existing
 //! images stay compatible.
 
-#[cfg(feature = "trace")]
 use pmem_sim::trace::Event;
 use pmem_sim::{MemCtx, PAddr, PmemDevice};
 
@@ -107,7 +106,6 @@ fn rec_crc(thread: usize, epoch: u64, mark: u64) -> u64 {
 
 /// Pseudo-TID a boundary publish is traced under (persistency checker):
 /// top bit set so it can never collide with an engine TID.
-#[cfg(feature = "trace")]
 fn pseudo_tid(thread: usize, epoch: u64) -> u64 {
     0x8000_0000_0000_0000 | ((thread as u64) << 32) | (epoch & 0xFFFF_FFFF)
 }
@@ -145,11 +143,8 @@ pub fn publish(
     boundary: bool,
     ctx: &mut MemCtx,
 ) {
-    #[cfg(not(feature = "trace"))]
-    let _ = boundary;
     let rec = record_addr(area, thread);
     let bank = rec.add(bank_of(epoch));
-    #[cfg(feature = "trace")]
     if boundary {
         dev.trace_emit(Event::TxnBegin {
             thread: ctx.thread_id,
@@ -164,7 +159,6 @@ pub fn publish(
     dev.store_u64(bank, epoch, ctx);
     dev.store_u64(bank.add(8), mark, ctx);
     dev.store_u64(bank.add(16), rec_crc(thread, epoch, mark), ctx);
-    #[cfg(feature = "trace")]
     if boundary {
         dev.trace_emit(Event::DurableHint {
             thread: ctx.thread_id,
@@ -172,15 +166,14 @@ pub fn publish(
             len: 24,
         });
     }
-    if !skip_bank_flush() {
+    if !inject::skip_bank_flush() {
         dev.clwb_if_adr(rec, ctx);
     }
-    if !skip_pre_swing_fence() {
+    if !inject::skip_pre_swing_fence() {
         dev.sfence(ctx);
     }
     // The swing: one aligned 8-byte store. Readers see the old epoch or
     // the new one; the bank it selects is already durable.
-    #[cfg(feature = "trace")]
     if boundary {
         dev.trace_emit(Event::CommitRecord {
             thread: ctx.thread_id,
@@ -188,7 +181,6 @@ pub fn publish(
         });
     }
     dev.store_u64(rec.add(CK_SWING), epoch, ctx);
-    #[cfg(feature = "trace")]
     if boundary {
         dev.trace_emit(Event::DurableHint {
             thread: ctx.thread_id,
@@ -198,11 +190,10 @@ pub fn publish(
     }
     // The swing store re-dirtied the record's (single) cache line: under
     // ADR it must be flushed again or the publish could evaporate.
-    if !skip_bank_flush() {
+    if !inject::skip_bank_flush() {
         dev.clwb_if_adr(rec, ctx);
     }
     dev.sfence(ctx);
-    #[cfg(feature = "trace")]
     if boundary {
         dev.trace_emit(Event::TxnCommit {
             thread: ctx.thread_id,
@@ -300,32 +291,11 @@ pub(crate) fn run(e: &Engine, w: &mut Worker, boundary: bool) {
     w.ctx.attr_phase(ap);
 }
 
-#[cfg(feature = "trace")]
-fn skip_bank_flush() -> bool {
-    inject::skip_bank_flush()
-}
-
-#[cfg(not(feature = "trace"))]
-fn skip_bank_flush() -> bool {
-    false
-}
-
-#[cfg(feature = "trace")]
-fn skip_pre_swing_fence() -> bool {
-    inject::skip_pre_swing_fence()
-}
-
-#[cfg(not(feature = "trace"))]
-fn skip_pre_swing_fence() -> bool {
-    false
-}
-
 /// Fault-injection toggles for the persistency-checker negative tests:
 /// each deliberately elides one ordering step of [`publish`] so the
 /// corresponding falcon-check rule (R1/R2 for the flushes, R3 for the
-/// pre-swing fence) must fire. Thread-local; test-only by construction
-/// (the `trace` feature).
-#[cfg(feature = "trace")]
+/// pre-swing fence) must fire. Thread-local, so a test's toggle never
+/// reaches another thread; a publish pays three thread-local reads.
 pub mod inject {
     use std::cell::Cell;
 

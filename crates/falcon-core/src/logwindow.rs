@@ -20,7 +20,6 @@
 //! overflow region (large, streamed, naturally evicted): this is the
 //! §5.5 limitation that Figure 12 measures.
 
-#[cfg(feature = "trace")]
 use pmem_sim::trace::Event;
 use pmem_sim::{MemCtx, PAddr, PmemDevice};
 
@@ -389,7 +388,6 @@ impl LogWindow {
             self.dev.raw_read(h.add(S_STATE), &mut state);
             assert_eq!(u64::from_le_bytes(state), FREE);
         }
-        #[cfg(feature = "trace")]
         self.dev.trace_emit(Event::LogRange {
             thread: ctx.thread_id,
             addr: h.0,
@@ -515,7 +513,6 @@ impl LogWindow {
                 // the recovery-time tail scan can attribute and
                 // CRC-validate the records that follow.
                 let m = data_base.add(self.spill_tail);
-                #[cfg(feature = "trace")]
                 self.dev.trace_emit(Event::LogRange {
                     thread: ctx.thread_id,
                     addr: m.0,
@@ -556,7 +553,6 @@ impl LogWindow {
             );
             a
         };
-        #[cfg(feature = "trace")]
         self.dev.trace_emit(Event::LogRange {
             thread: ctx.thread_id,
             addr: addr.0,
@@ -647,7 +643,6 @@ impl LogWindow {
         // The fence orders log records before the commit state; in ADR
         // mode (conventional log) it also drains the clwb'd records.
         self.dev.sfence(ctx);
-        #[cfg(feature = "trace")]
         self.dev.trace_emit(Event::CommitRecord {
             thread: ctx.thread_id,
             addr: h.add(S_STATE).0,
@@ -673,7 +668,6 @@ impl LogWindow {
             "commit_deferred is only sound for the small log window"
         );
         let h = slot_hdr(self.base, self.cur);
-        #[cfg(feature = "trace")]
         self.dev.trace_emit(Event::CommitRecord {
             thread: ctx.thread_id,
             addr: h.add(S_STATE).0,
@@ -770,7 +764,6 @@ impl LogWindow {
         while off < live {
             let n = (live - off).min(buf.len() as u64) as usize;
             self.dev.read(data_base.add(m0 + off), &mut buf[..n], ctx);
-            #[cfg(feature = "trace")]
             self.dev.trace_emit(Event::LogRange {
                 thread: ctx.thread_id,
                 addr: data_base.add(off).0,

@@ -22,7 +22,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-#[cfg(feature = "trace")]
 use pmem_sim::trace::{AtomicKind, Event, MemOrder, DRAM_SPACE};
 use pmem_sim::{CostModel, MemCtx, PmemDevice};
 
@@ -31,7 +30,6 @@ use falcon_storage::tuple::TupleRef;
 /// Race-trace address of Met-Cache cell word `w` of `tuple`: the cells
 /// live in engine DRAM, so they get a synthetic address in the
 /// [`DRAM_SPACE`] namespace (disjoint from every device address).
-#[cfg(feature = "trace")]
 #[inline]
 fn met_addr(tuple: TupleRef, w: usize) -> u64 {
     DRAM_SPACE + tuple.addr.0 + (w as u64) * 8
@@ -40,7 +38,6 @@ fn met_addr(tuple: TupleRef, w: usize) -> u64 {
 /// Base of the race-trace lock-id namespace for Met-Cache shard locks
 /// (the "META" tag keeps it disjoint from any other instrumented lock);
 /// shard `i` is `MET_SHARD_LOCK | i`.
-#[cfg(feature = "trace")]
 const MET_SHARD_LOCK: u64 = 0x4D45_5441 << 32;
 
 /// Emit a shard-lock edge on the race trace. Acquire events must be
@@ -48,7 +45,6 @@ const MET_SHARD_LOCK: u64 = 0x4D45_5441 << 32;
 /// dropped, so the trace's stream order matches the real lock order
 /// (parking_lot serializes conflicting emissions through the guard
 /// itself).
-#[cfg(feature = "trace")]
 #[inline]
 fn shard_lock_event(dev: &PmemDevice, thread: usize, shard: usize, excl: bool, acquire: bool) {
     if dev.trace_racing() {
@@ -128,21 +124,16 @@ impl MetaStore {
                 // payload — exactly what falcon-race's relaxed_publish
                 // fixture demonstrates.
                 let cell = m.cell(dev, tuple, ctx);
-                #[cfg(feature = "trace")]
-                {
-                    let thread = ctx.thread_id;
-                    dev.trace_atomic(
-                        || cell[w].load(Ordering::Acquire),
-                        |_| Event::AtomicOp {
-                            thread,
-                            addr: met_addr(tuple, w),
-                            kind: AtomicKind::Load,
-                            order: MemOrder::Acquire,
-                        },
-                    )
-                }
-                #[cfg(not(feature = "trace"))]
-                cell[w].load(Ordering::Acquire)
+                let thread = ctx.thread_id;
+                dev.trace_atomic(
+                    || cell[w].load(Ordering::Acquire),
+                    |_| Event::AtomicOp {
+                        thread,
+                        addr: met_addr(tuple, w),
+                        kind: AtomicKind::Load,
+                        order: MemOrder::Acquire,
+                    },
+                )
             }
         }
     }
@@ -157,21 +148,16 @@ impl MetaStore {
                 // payload, version chain) to the next Acquire load of
                 // this word — the unlock side of the CC protocols.
                 let cell = m.cell(dev, tuple, ctx);
-                #[cfg(feature = "trace")]
-                {
-                    let thread = ctx.thread_id;
-                    dev.trace_atomic(
-                        || cell[w].store(val, Ordering::Release),
-                        |()| Event::AtomicOp {
-                            thread,
-                            addr: met_addr(tuple, w),
-                            kind: AtomicKind::Store,
-                            order: MemOrder::Release,
-                        },
-                    );
-                }
-                #[cfg(not(feature = "trace"))]
-                cell[w].store(val, Ordering::Release);
+                let thread = ctx.thread_id;
+                dev.trace_atomic(
+                    || cell[w].store(val, Ordering::Release),
+                    |()| Event::AtomicOp {
+                        thread,
+                        addr: met_addr(tuple, w),
+                        kind: AtomicKind::Store,
+                        order: MemOrder::Release,
+                    },
+                );
             }
         }
     }
@@ -199,26 +185,21 @@ impl MetaStore {
                 // falcon-race's kernel sweeps run on exactly these
                 // orderings.
                 let cell = m.cell(dev, tuple, ctx);
-                #[cfg(feature = "trace")]
-                {
-                    let thread = ctx.thread_id;
-                    dev.trace_atomic(
-                        || cell[w].compare_exchange(old, new, Ordering::AcqRel, Ordering::Acquire),
-                        |r| Event::AtomicOp {
-                            thread,
-                            addr: met_addr(tuple, w),
-                            // A failed CAS performs no store.
-                            kind: if r.is_ok() {
-                                AtomicKind::Rmw
-                            } else {
-                                AtomicKind::Load
-                            },
-                            order: MemOrder::AcqRel,
+                let thread = ctx.thread_id;
+                dev.trace_atomic(
+                    || cell[w].compare_exchange(old, new, Ordering::AcqRel, Ordering::Acquire),
+                    |r| Event::AtomicOp {
+                        thread,
+                        addr: met_addr(tuple, w),
+                        // A failed CAS performs no store.
+                        kind: if r.is_ok() {
+                            AtomicKind::Rmw
+                        } else {
+                            AtomicKind::Load
                         },
-                    )
-                }
-                #[cfg(not(feature = "trace"))]
-                cell[w].compare_exchange(old, new, Ordering::AcqRel, Ordering::Acquire)
+                        order: MemOrder::AcqRel,
+                    },
+                )
             }
         }
     }
@@ -271,22 +252,17 @@ impl DramMeta {
     /// shard rehashes, and even if [`DramMeta::clear`] drops the table
     /// entry concurrently.
     ///
-    /// Under `trace` the shard `RwLock` acquisitions are emitted as
-    /// lock edges on `dev`'s race trace (acquire after the guard is
-    /// taken, release before it drops — see [`shard_lock_event`]);
-    /// otherwise `dev` is unused.
+    /// The shard `RwLock` acquisitions are emitted as lock edges on
+    /// `dev`'s race trace (acquire after the guard is taken, release
+    /// before it drops — see [`shard_lock_event`]).
     fn cell(&self, dev: &PmemDevice, tuple: TupleRef, ctx: &mut MemCtx) -> Arc<[AtomicU64; 2]> {
-        #[cfg(not(feature = "trace"))]
-        let _ = dev;
         ctx.charge_dram_hit(&self.cost);
         let idx = (tuple.addr.0 >> 6) as usize % SHARDS;
         let shard = &self.shards[idx];
         {
             let rd = shard.read();
-            #[cfg(feature = "trace")]
             shard_lock_event(dev, ctx.thread_id, idx, false, true);
             let hit = rd.get(&tuple.addr.0).map(Arc::clone);
-            #[cfg(feature = "trace")]
             shard_lock_event(dev, ctx.thread_id, idx, false, false);
             drop(rd);
             if let Some(cell) = hit {
@@ -294,13 +270,11 @@ impl DramMeta {
             }
         }
         let mut wr = shard.write();
-        #[cfg(feature = "trace")]
         shard_lock_event(dev, ctx.thread_id, idx, true, true);
         let cell = Arc::clone(
             wr.entry(tuple.addr.0)
                 .or_insert_with(|| Arc::new([AtomicU64::new(0), AtomicU64::new(0)])),
         );
-        #[cfg(feature = "trace")]
         shard_lock_event(dev, ctx.thread_id, idx, true, false);
         drop(wr);
         cell

@@ -19,7 +19,6 @@
 
 use std::mem;
 
-#[cfg(feature = "trace")]
 use pmem_sim::trace::Event;
 use pmem_sim::PAddr;
 
@@ -104,7 +103,6 @@ impl<'e, 'w> Txn<'e, 'w> {
         w.ctx.advance(CPU_TXN_NS);
         w.rs.clear();
         w.ws.clear();
-        #[cfg(feature = "trace")]
         e.dev.trace_emit(Event::TxnBegin {
             thread: w.ctx.thread_id,
             tid,
@@ -1043,7 +1041,6 @@ impl<'e, 'w> Txn<'e, 'w> {
         }
         // The commit record is durable (or in the persistence domain):
         // this is the transaction's commit point.
-        #[cfg(feature = "trace")]
         self.e.dev.trace_emit(Event::TxnCommit {
             thread: self.w.ctx.thread_id,
             tid,
@@ -1248,14 +1245,12 @@ impl<'e, 'w> Txn<'e, 'w> {
         let ap = self.w.ctx.attr_phase(Phase::CommitFence as usize);
         self.e.dev.sfence(&mut self.w.ctx);
         let wm = self.e.watermark_addr(self.w.thread);
-        #[cfg(feature = "trace")]
         self.e.dev.trace_emit(Event::CommitRecord {
             thread: self.w.ctx.thread_id,
             addr: wm.0,
         });
         self.e.dev.store_u64(wm, tid, &mut self.w.ctx);
         if self.e.cfg.flush != FlushPolicy::None {
-            #[cfg(feature = "trace")]
             self.e.dev.trace_emit(Event::DurableHint {
                 thread: self.w.ctx.thread_id,
                 addr: wm.0,
@@ -1267,7 +1262,6 @@ impl<'e, 'w> Txn<'e, 'w> {
         let fence_dt = self.w.ctx.clock - fence_t0;
         self.w.obs.phase_add(Phase::CommitFence, fence_dt);
         self.w.ctx.attr_phase(ap);
-        #[cfg(feature = "trace")]
         self.e.dev.trace_emit(Event::TxnCommit {
             thread: self.w.ctx.thread_id,
             tid,
@@ -1407,7 +1401,6 @@ impl<'e, 'w> Txn<'e, 'w> {
 
     /// Announce a durable-intent range to the persistency checker just
     /// before flushing it (R2 coverage).
-    #[cfg(feature = "trace")]
     fn hint_flush(&mut self, addr: u64, len: u64) {
         self.e.dev.trace_emit(Event::DurableHint {
             thread: self.w.ctx.thread_id,
@@ -1415,9 +1408,6 @@ impl<'e, 'w> Txn<'e, 'w> {
             len,
         });
     }
-
-    #[cfg(not(feature = "trace"))]
-    fn hint_flush(&mut self, _addr: u64, _len: u64) {}
 
     fn release_read_locks(&mut self) {
         if self.e.cfg.cc.base() != CcAlgo::TwoPl {

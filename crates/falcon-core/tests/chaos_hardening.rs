@@ -16,8 +16,8 @@ use falcon_core::logwindow::{
 use falcon_core::recovery::recover;
 use falcon_core::table::{IndexKind, TableDef};
 use falcon_core::{crc, Engine, EngineConfig, EngineError, TxnError};
-use falcon_storage::layout::SB_NUM_TABLES;
-use falcon_storage::{Catalog, ColType, Schema};
+use falcon_storage::layout::{SB_NUM_TABLES, SB_VERSION};
+use falcon_storage::{Catalog, ColType, Schema, StorageError};
 use pmem_sim::{FaultPlan, MemCtx, PAddr, PersistDomain, PmemDevice, SimConfig};
 
 const TABLE: u32 = 0;
@@ -232,6 +232,47 @@ fn forged_heap_next_pointer_is_a_typed_error() {
             other => panic!("{}: expected Corrupt, got {other:?}", cfg.name),
         }
     }
+}
+
+/// A thread-0 delete-list head forged out of range: the next insert,
+/// which would reclaim through it, is a typed storage error, not a wild
+/// device read. (Outp's recovery re-threads the list while recycling
+/// garbage versions, so the head is forged on the live engine.)
+#[test]
+fn forged_delete_list_head_is_a_typed_error() {
+    for cfg in [EngineConfig::falcon(), EngineConfig::outp()] {
+        let cfg = cfg.with_threads(1);
+        let (dev, e) = fresh(&cfg);
+        workload(&e, 5);
+        let mut ctx = MemCtx::new(0);
+        let catalog = Catalog::open(dev, &mut ctx).unwrap();
+        catalog.set_delete_head(TABLE, 0, 1 << 40, &mut ctx);
+        let mut w = e.worker(0).unwrap();
+        let mut t = e.begin(&mut w, false);
+        match t.insert(TABLE, &row(100, 3)) {
+            Err(TxnError::Storage(StorageError::CorruptHeap { what, .. })) => {
+                assert!(what.contains("delete-list"), "{}: {what}", cfg.name);
+            }
+            other => panic!("{}: expected CorruptHeap, got {other:?}", cfg.name),
+        }
+    }
+}
+
+/// A superblock whose format version is not this build's: recovery
+/// refuses the image with a typed error before reading anything else.
+#[test]
+fn unknown_format_version_is_a_typed_error() {
+    let cfg = EngineConfig::falcon().with_threads(1);
+    let (dev, e) = fresh(&cfg);
+    workload(&e, 5);
+    drop(e);
+    dev.crash();
+    let mut ctx = MemCtx::new(0);
+    dev.store_u64(PAddr(SB_VERSION), 2, &mut ctx);
+    assert!(matches!(
+        recover(dev, cfg, &[kv_def()]),
+        Err(EngineError::Storage(StorageError::BadVersion { found: 2 }))
+    ));
 }
 
 #[test]

@@ -122,7 +122,7 @@ fn outp_garbage_slots_are_recycled() {
     let mut ctx = MemCtx::new(0);
     let heap = &e.table(TABLE).heap;
     let allocated = heap.allocated_slots(&mut ctx).unwrap();
-    let on_delete_list = heap.delete_list_len(0, &mut ctx);
+    let on_delete_list = heap.delete_list_len(0, &mut ctx).unwrap();
     // allocated counts every slot ever carved from pages minus reuse;
     // with recycling, carve count stays well below the update count.
     assert!(

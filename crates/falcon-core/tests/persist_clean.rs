@@ -1,11 +1,13 @@
-//! Engine-level persistency-order checks (requires `--features trace`).
+//! Engine-level persistency-order checks.
 //!
 //! The ADR-correct engines (conventional NVM log + flush-all) must
 //! produce clean traces on an ADR device; Falcon's small log window
 //! deliberately relies on a persistent cache, so running it on ADR
 //! must make the checker fire R1 — the checker catches a real
 //! platform/engine mismatch, not just synthetic traces.
-#![cfg(feature = "trace")]
+//!
+//! The recorder comes with the `falcon-check` dev-dependency, which
+//! builds pmem-sim with its `trace` feature.
 
 use falcon_core::table::{IndexKind, TableDef};
 use falcon_core::{Engine, EngineConfig};

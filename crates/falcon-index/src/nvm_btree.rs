@@ -68,9 +68,10 @@
 //! host-performance optimization; virtual-time costs, which all
 //! experiments measure, are charged per node access and are identical.)
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use parking_lot::RwLock;
+use pmem_sim::trace::Event;
 use pmem_sim::{MemCtx, PAddr, PersistDomain, PmemDevice};
 
 use falcon_storage::NvmAllocator;
@@ -103,10 +104,9 @@ const R_SPLITTING: u64 = 40;
 const R_FREE: u64 = 48;
 
 /// Pseudo-thread offset for the split's analyzer transaction: the trace
-/// events a split emits under `trace` use a disjoint thread id
-/// so they can never clobber the per-thread transaction state of an
-/// engine-level transaction recorded on the real thread.
-#[cfg(feature = "trace")]
+/// events a split emits use a disjoint thread id so they can never
+/// clobber the per-thread transaction state of an engine-level
+/// transaction recorded on the real thread.
 const SPLIT_THREAD_OFFSET: usize = 1 << 20;
 
 /// A node's header as one read saw it. Only [`NbTree::view`] makes one,
@@ -185,13 +185,10 @@ pub struct NbTree {
     repairs: AtomicU64,
     /// Fault injection: skip the n-th protected write-back
     /// (`u64::MAX` = disabled).
-    #[cfg(feature = "trace")]
     skip_wb: AtomicU64,
     /// Fault injection: skip the next split commit fence.
-    #[cfg(feature = "trace")]
-    skip_fence: std::sync::atomic::AtomicBool,
+    skip_fence: AtomicBool,
     /// Monotonic id source for split pseudo-transactions.
-    #[cfg(feature = "trace")]
     split_seq: AtomicU64,
 }
 
@@ -257,11 +254,8 @@ impl NbTree {
                 .with_free_list(root_slot.add(R_FREE)),
             tree_lock: RwLock::new(()),
             repairs: AtomicU64::new(0),
-            #[cfg(feature = "trace")]
             skip_wb: AtomicU64::new(u64::MAX),
-            #[cfg(feature = "trace")]
-            skip_fence: std::sync::atomic::AtomicBool::new(false),
-            #[cfg(feature = "trace")]
+            skip_fence: AtomicBool::new(false),
             split_seq: AtomicU64::new(0),
         }
     }
@@ -271,21 +265,18 @@ impl NbTree {
     // ------------------------------------------------------------------
 
     /// The one protected write-back primitive: announce durable intent
-    /// for `[addr, addr+len)` to the trace (under `trace`), then
-    /// write the range back when the domain is ADR. Every flush of the
-    /// mutation paths funnels through here so the analyzer sees the
-    /// intent and the fault-injection hook can drop exactly one.
+    /// for `[addr, addr+len)` to the trace, then write the range back
+    /// when the domain is ADR. Every flush of the mutation paths funnels
+    /// through here so the analyzer sees the intent and the
+    /// fault-injection hook can drop exactly one.
     fn wbr(&self, addr: PAddr, len: u64, ctx: &mut MemCtx) {
-        #[cfg(feature = "trace")]
-        {
-            self.dev.trace_emit(pmem_sim::trace::Event::DurableHint {
-                thread: ctx.thread_id,
-                addr: addr.0,
-                len,
-            });
-            if self.take_injected_skip() {
-                return;
-            }
+        self.dev.trace_emit(Event::DurableHint {
+            thread: ctx.thread_id,
+            addr: addr.0,
+            len,
+        });
+        if self.take_injected_skip() {
+            return;
         }
         if self.dev.config().domain == PersistDomain::Adr {
             self.dev.flush_range(addr, len, ctx);
@@ -307,14 +298,12 @@ impl NbTree {
 
     /// The split commit fence (R3-checked; skippable by fault injection).
     fn split_fence(&self, ctx: &mut MemCtx) {
-        #[cfg(feature = "trace")]
         if self.skip_fence.swap(false, Ordering::Relaxed) {
             return;
         }
         self.fence_if_adr(ctx);
     }
 
-    #[cfg(feature = "trace")]
     fn take_injected_skip(&self) -> bool {
         match self.skip_wb.load(Ordering::Relaxed) {
             u64::MAX => false,
@@ -330,61 +319,49 @@ impl NbTree {
     }
 
     // ------------------------------------------------------------------
-    // Split pseudo-transaction trace markers (`trace` only).
+    // Split pseudo-transaction trace markers.
     // ------------------------------------------------------------------
 
     /// Open the split's analyzer transaction: switch the context to the
     /// split pseudo-thread and emit `TxnBegin`, so rules R1/R3 check the
     /// split's stores, write-backs, and fences in isolation.
     fn t_split_begin(&self, ctx: &mut MemCtx) {
-        #[cfg(feature = "trace")]
-        {
-            ctx.thread_id += SPLIT_THREAD_OFFSET;
-            let tid = self.split_seq.fetch_add(1, Ordering::Relaxed) | (1 << 63);
-            self.dev.trace_emit(pmem_sim::trace::Event::TxnBegin {
-                thread: ctx.thread_id,
-                tid,
-            });
-        }
-        let _ = ctx;
+        ctx.thread_id += SPLIT_THREAD_OFFSET;
+        let tid = self.split_seq.fetch_add(1, Ordering::Relaxed) | (1 << 63);
+        self.dev.trace_emit(Event::TxnBegin {
+            thread: ctx.thread_id,
+            tid,
+        });
     }
 
     /// Register `[addr, addr+len)` as split-transaction log state (R1
     /// requires it durable when the flag clears).
     fn t_log(&self, addr: PAddr, len: u64, ctx: &mut MemCtx) {
-        #[cfg(feature = "trace")]
-        self.dev.trace_emit(pmem_sim::trace::Event::LogRange {
+        self.dev.trace_emit(Event::LogRange {
             thread: ctx.thread_id,
             addr: addr.0,
             len,
         });
-        let _ = (addr, len, ctx);
     }
 
     /// Announce the flag-clear store as the split's commit record (R3
     /// requires a fence between it and the split's structural stores).
     fn t_commit_record(&self, addr: PAddr, ctx: &mut MemCtx) {
-        #[cfg(feature = "trace")]
-        self.dev.trace_emit(pmem_sim::trace::Event::CommitRecord {
+        self.dev.trace_emit(Event::CommitRecord {
             thread: ctx.thread_id,
             addr: addr.0,
         });
-        let _ = (addr, ctx);
     }
 
     /// Close the split's analyzer transaction and restore the caller's
     /// thread id.
     fn t_split_end(&self, ctx: &mut MemCtx) {
-        #[cfg(feature = "trace")]
-        {
-            let tid = (self.split_seq.load(Ordering::Relaxed) - 1) | (1 << 63);
-            self.dev.trace_emit(pmem_sim::trace::Event::TxnCommit {
-                thread: ctx.thread_id,
-                tid,
-            });
-            ctx.thread_id -= SPLIT_THREAD_OFFSET;
-        }
-        let _ = ctx;
+        let tid = (self.split_seq.load(Ordering::Relaxed) - 1) | (1 << 63);
+        self.dev.trace_emit(Event::TxnCommit {
+            thread: ctx.thread_id,
+            tid,
+        });
+        ctx.thread_id -= SPLIT_THREAD_OFFSET;
     }
 
     // ------------------------------------------------------------------
@@ -918,7 +895,6 @@ pub fn sever_leaf_chain(dev: &PmemDevice, root_slot: PAddr, ctx: &mut MemCtx) ->
 }
 
 /// Fault-injection hooks for the persistency-order tests.
-#[cfg(feature = "trace")]
 impl NbTree {
     /// Drop the `n`-th protected write-back from now (0 = the very next
     /// one). The durable-intent hint is still emitted, so the analyzer

@@ -1,4 +1,4 @@
-//! Crash-image sweep for B⁺-tree splits (`--features trace`).
+//! Crash-image sweep for B⁺-tree splits.
 //!
 //! Brute-force replay: fill an ADR-domain tree to the brink of a split,
 //! calibrate how many device events the triggering insert emits, then
@@ -12,8 +12,6 @@
 //! the tree). The split thresholds are probed via [`NbTree::shape`]
 //! rather than hard-coding node capacity, so the test tracks layout
 //! changes automatically.
-
-#![cfg(feature = "trace")]
 
 use proptest::prelude::*;
 

@@ -70,8 +70,8 @@ pub struct RecoveryCounts {
 
 /// Happens-before analysis summary, attached when the run was recorded
 /// in race mode and analyzed by falcon-race. Kept as plain counts so
-/// falcon-obs stays dependency-free; the producer (falcon-race's CLI or
-/// `falcon_wl::run_race_checked` callers) fills it from a `RaceReport`.
+/// falcon-obs stays dependency-free; the producer (falcon-race's CLI)
+/// fills it from a `RaceReport`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RaceCheckSummary {
     /// Worker threads recorded in the trace.

@@ -238,6 +238,16 @@ mod tests {
     }
 
     #[test]
+    fn open_rejects_an_unknown_format_version() {
+        let (dev, _, mut ctx) = setup();
+        dev.store_u64(PAddr(crate::layout::SB_VERSION), 2, &mut ctx);
+        assert!(matches!(
+            Catalog::open(dev, &mut ctx),
+            Err(StorageError::BadVersion { found: 2 })
+        ));
+    }
+
+    #[test]
     fn create_and_read_tables() {
         let (_, cat, mut ctx) = setup();
         let a = cat.create_table(&schema("alpha"), &mut ctx).unwrap();

@@ -11,6 +11,11 @@ pub enum StorageError {
         /// The value found on the device.
         found: u64,
     },
+    /// The superblock carries a format version this build cannot read.
+    BadVersion {
+        /// The version word found on the device.
+        found: u64,
+    },
     /// A schema does not fit in its catalog slot.
     SchemaTooLarge {
         /// Encoded size in bytes.
@@ -38,12 +43,13 @@ pub enum StorageError {
         /// Actual capacity.
         have: u64,
     },
-    /// A tuple-heap page chain failed a structural check during a walk
-    /// (see `TupleHeap::scan`).
+    /// A tuple-heap page chain or delete list failed a structural check
+    /// during a walk (see `TupleHeap::scan`, `TupleHeap::alloc_slot`).
     CorruptHeap {
         /// The table whose heap failed.
         table: u32,
-        /// The page address that failed the check.
+        /// The page (page chain) or slot (delete list) address that
+        /// failed the check.
         page: u64,
         /// Which check failed.
         what: &'static str,
@@ -57,6 +63,9 @@ impl core::fmt::Display for StorageError {
             StorageError::BadMagic { found } => {
                 write!(f, "bad superblock magic {found:#x}")
             }
+            StorageError::BadVersion { found } => {
+                write!(f, "unknown format version {found}")
+            }
             StorageError::SchemaTooLarge { encoded, max } => {
                 write!(f, "schema encodes to {encoded} bytes, max {max}")
             }
@@ -69,7 +78,7 @@ impl core::fmt::Display for StorageError {
                 write!(f, "device too small: need {need} bytes, have {have}")
             }
             StorageError::CorruptHeap { table, page, what } => {
-                write!(f, "table {table} heap page {page:#x}: {what}")
+                write!(f, "table {table} heap at {page:#x}: {what}")
             }
         }
     }

@@ -141,7 +141,7 @@ impl TupleHeap {
         //    at the tail, so the head has the smallest delete TID).
         let head = self.catalog.delete_head(self.table, thread, ctx);
         if head != 0 {
-            let slot = TupleRef::new(PAddr(head));
+            let slot = self.check_slot(head)?;
             if slot.deleted_tid(&self.dev, ctx) < reclaim_before {
                 let next = slot.deleted_next(&self.dev, ctx);
                 self.catalog.set_delete_head(self.table, thread, next, ctx);
@@ -294,6 +294,32 @@ impl TupleHeap {
         Ok(())
     }
 
+    /// Structural checks on one delete-list pointer before it is
+    /// followed, by arithmetic alone (no device access): it must name a
+    /// slot of this heap's geometry inside the page arena — past a page
+    /// header, on a slot boundary, below `slots_per_page`.
+    fn check_slot(&self, addr: u64) -> Result<TupleRef, StorageError> {
+        let cap = self.dev.capacity();
+        let out_of_range = || self.corrupt(addr, "delete-list pointer out of range");
+        if addr < PAGE_ARENA || addr >= cap {
+            return Err(out_of_range());
+        }
+        let page = addr - (addr - PAGE_ARENA) % PAGE_SIZE;
+        if page + PAGE_SIZE > cap {
+            return Err(out_of_range());
+        }
+        let Some(off) = (addr - page).checked_sub(PAGE_HDR) else {
+            return Err(self.corrupt(addr, "delete-list pointer inside a page header"));
+        };
+        if !off.is_multiple_of(self.slot_size) {
+            return Err(self.corrupt(addr, "delete-list pointer not on a slot boundary"));
+        }
+        if off / self.slot_size >= self.slots_per_page {
+            return Err(self.corrupt(addr, "delete-list pointer past the page's slots"));
+        }
+        Ok(TupleRef::new(PAddr(addr)))
+    }
+
     fn corrupt(&self, page: u64, what: &'static str) -> StorageError {
         StorageError::CorruptHeap {
             table: self.table,
@@ -311,14 +337,22 @@ impl TupleHeap {
     }
 
     /// Length of `thread`'s delete list (diagnostic; walks the list).
-    pub fn delete_list_len(&self, thread: usize, ctx: &mut MemCtx) -> u64 {
+    /// Every link is checked before it is followed, and a walk longer
+    /// than the device has slots (a cycle) stops, both with
+    /// [`StorageError::CorruptHeap`].
+    pub fn delete_list_len(&self, thread: usize, ctx: &mut MemCtx) -> Result<u64, StorageError> {
+        let pages = self.dev.capacity().saturating_sub(PAGE_ARENA) / PAGE_SIZE;
+        let max_slots = pages * self.slots_per_page;
         let mut n = 0;
         let mut cur = self.catalog.delete_head(self.table, thread, ctx);
         while cur != 0 {
+            if n == max_slots {
+                return Err(self.corrupt(cur, "delete list longer than the heap's slots"));
+            }
             n += 1;
-            cur = TupleRef::new(PAddr(cur)).deleted_next(&self.dev, ctx);
+            cur = self.check_slot(cur)?.deleted_next(&self.dev, ctx);
         }
-        n
+        Ok(n)
     }
 
     /// The underlying device.
@@ -399,13 +433,13 @@ mod tests {
         let b = heap.alloc_slot(0, 0, &mut ctx).unwrap();
         heap.free_slot(0, a, 10, &mut ctx);
         heap.free_slot(0, b, 20, &mut ctx);
-        assert_eq!(heap.delete_list_len(0, &mut ctx), 2);
+        assert_eq!(heap.delete_list_len(0, &mut ctx).unwrap(), 2);
 
         // Reclaim bound 15: only `a` (tid 10) is reclaimable.
         let r = heap.alloc_slot(0, 15, &mut ctx).unwrap();
         assert_eq!(r.addr, a.addr);
         assert!(!r.is_deleted(&dev, &mut ctx), "reclaimed slot undeleted");
-        assert_eq!(heap.delete_list_len(0, &mut ctx), 1);
+        assert_eq!(heap.delete_list_len(0, &mut ctx).unwrap(), 1);
 
         // Bound 15 again: `b` (tid 20) is too young — bump-allocate.
         let r2 = heap.alloc_slot(0, 15, &mut ctx).unwrap();
@@ -414,7 +448,7 @@ mod tests {
         // Bound 100 reclaims `b`.
         let r3 = heap.alloc_slot(0, 100, &mut ctx).unwrap();
         assert_eq!(r3.addr, b.addr);
-        assert_eq!(heap.delete_list_len(0, &mut ctx), 0);
+        assert_eq!(heap.delete_list_len(0, &mut ctx).unwrap(), 0);
     }
 
     #[test]
@@ -443,7 +477,7 @@ mod tests {
         let heap2 = TupleHeap::open(alloc, cat, 0, &schema, &mut ctx).unwrap();
         assert_eq!(heap2.allocated_slots(&mut ctx).unwrap(), 10);
         assert_eq!(
-            heap2.delete_list_len(0, &mut ctx),
+            heap2.delete_list_len(0, &mut ctx).unwrap(),
             1,
             "delete list persisted"
         );
@@ -541,6 +575,102 @@ mod tests {
     fn forged_magic_is_typed() {
         let e = scan_forged(PH_MAGIC, |_, _| 0);
         assert_eq!(what(&e), "page lacks the heap magic");
+    }
+
+    /// A heap with two slots on thread 0's delete list whose head (or,
+    /// with `link`, the first slot's `deleted_next`) is then forged to
+    /// `value(first_slot, heap)`.
+    fn forge_delete_list(link: bool, value: impl FnOnce(u64, &TupleHeap) -> u64) -> TupleHeap {
+        let (dev, heap, mut ctx) = setup(40);
+        let a = heap.alloc_slot(0, 0, &mut ctx).unwrap();
+        let b = heap.alloc_slot(0, 0, &mut ctx).unwrap();
+        heap.free_slot(0, a, 10, &mut ctx);
+        heap.free_slot(0, b, 20, &mut ctx);
+        let v = value(a.addr.0, &heap);
+        if link {
+            a.set_deleted_next(&dev, v, &mut ctx);
+        } else {
+            heap.catalog.set_delete_head(heap.table, 0, v, &mut ctx);
+        }
+        heap
+    }
+
+    /// The forged head fails both the allocation that would follow it
+    /// and the length walk, with the same typed error and without a
+    /// charged device access beyond the catalog reads.
+    fn forged_head(value: impl FnOnce(u64, &TupleHeap) -> u64) -> &'static str {
+        let heap = forge_delete_list(false, value);
+        let mut ctx = MemCtx::new(0);
+        let len = heap.delete_list_len(0, &mut ctx).unwrap_err();
+        let before = ctx.clock;
+        let alloc = heap.alloc_slot(0, u64::MAX, &mut ctx).unwrap_err();
+        let mut probe = MemCtx::new(0);
+        heap.catalog.delete_head(heap.table, 0, &mut probe);
+        assert_eq!(
+            ctx.clock - before,
+            probe.clock,
+            "only the head read is charged"
+        );
+        assert_eq!(len, alloc);
+        what(&alloc)
+    }
+
+    #[test]
+    fn forged_delete_head_out_of_range_is_typed() {
+        assert_eq!(
+            forged_head(|_, _| 1 << 40),
+            "delete-list pointer out of range"
+        );
+        assert_eq!(forged_head(|_, _| 4096), "delete-list pointer out of range");
+        assert_eq!(
+            forged_head(|_, _| u64::MAX),
+            "delete-list pointer out of range"
+        );
+    }
+
+    #[test]
+    fn forged_delete_head_misaligned_is_typed() {
+        assert_eq!(
+            forged_head(|a, _| a + 8),
+            "delete-list pointer not on a slot boundary"
+        );
+    }
+
+    #[test]
+    fn forged_delete_head_in_a_page_header_is_typed() {
+        assert_eq!(
+            forged_head(|a, _| a - PAGE_HDR),
+            "delete-list pointer inside a page header"
+        );
+    }
+
+    #[test]
+    fn forged_delete_head_past_the_slots_is_typed() {
+        assert_eq!(
+            forged_head(|a, h| a + h.slots_per_page() * h.slot_size()),
+            "delete-list pointer past the page's slots"
+        );
+    }
+
+    #[test]
+    fn forged_delete_link_is_typed() {
+        let heap = forge_delete_list(true, |_, _| 1 << 40);
+        let mut ctx = MemCtx::new(0);
+        let e = heap.delete_list_len(0, &mut ctx).unwrap_err();
+        assert_eq!(what(&e), "delete-list pointer out of range");
+        // Reclaiming the intact head installs the forged link as the new
+        // head; the next reclaim refuses it.
+        heap.alloc_slot(0, u64::MAX, &mut ctx).unwrap();
+        let e = heap.alloc_slot(0, u64::MAX, &mut ctx).unwrap_err();
+        assert_eq!(what(&e), "delete-list pointer out of range");
+    }
+
+    #[test]
+    fn delete_list_cycle_stops() {
+        let heap = forge_delete_list(true, |a, _| a);
+        let mut ctx = MemCtx::new(0);
+        let e = heap.delete_list_len(0, &mut ctx).unwrap_err();
+        assert_eq!(what(&e), "delete list longer than the heap's slots");
     }
 
     #[test]

@@ -123,11 +123,21 @@ pub fn format(dev: &PmemDevice) -> Result<(), StorageError> {
     Ok(())
 }
 
-/// Verify the superblock of an existing device.
+/// Verify the superblock of an existing device: the magic word, then
+/// the format version. Both sit in superblock line 0 and are taken with
+/// one read.
 pub fn check(dev: &PmemDevice, ctx: &mut MemCtx) -> Result<(), StorageError> {
-    let found = dev.load_u64(PAddr(SB_MAGIC), ctx);
+    const _: () = assert!(SB_VERSION == SB_MAGIC + 8);
+    let mut words = [0u8; 16];
+    dev.read(PAddr(SB_MAGIC), &mut words, ctx);
+    let (magic, version) = words.split_at(8);
+    let found = u64::from_le_bytes(magic.try_into().expect("8 bytes"));
     if found != MAGIC {
         return Err(StorageError::BadMagic { found });
+    }
+    let found = u64::from_le_bytes(version.try_into().expect("8 bytes"));
+    if found != VERSION {
+        return Err(StorageError::BadVersion { found });
     }
     Ok(())
 }
@@ -153,6 +163,33 @@ mod tests {
         format(&dev).unwrap();
         check(&dev, &mut ctx).unwrap();
         assert_eq!(dev.load_u64(PAddr(SB_VERSION), &mut ctx), VERSION);
+    }
+
+    #[test]
+    fn check_rejects_an_unknown_version() {
+        let dev = pmem_sim::PmemDevice::new(SimConfig::small()).unwrap();
+        let mut ctx = MemCtx::new(0);
+        format(&dev).unwrap();
+        dev.store_u64(PAddr(SB_VERSION), VERSION + 1, &mut ctx);
+        assert_eq!(
+            check(&dev, &mut ctx),
+            Err(StorageError::BadVersion { found: VERSION + 1 })
+        );
+    }
+
+    #[test]
+    fn check_costs_what_the_magic_load_cost() {
+        let formatted = || {
+            let dev = pmem_sim::PmemDevice::new(SimConfig::small()).unwrap();
+            format(&dev).unwrap();
+            dev
+        };
+        let mut ctx = MemCtx::new(0);
+        check(&formatted(), &mut ctx).unwrap();
+        let mut magic_only = MemCtx::new(0);
+        formatted().load_u64(PAddr(SB_MAGIC), &mut magic_only);
+        assert_eq!(ctx.stats.accesses, 1);
+        assert_eq!(ctx.clock, magic_only.clock);
     }
 
     #[test]

@@ -340,28 +340,6 @@ pub fn run(engine: &Engine, workload: &dyn Workload, cfg: &RunConfig) -> RunResu
     }
 }
 
-/// Run the workload with race-mode tracing live and analyze the trace
-/// with falcon-race's happens-before detector (feature `trace`).
-///
-/// The whole measurement phase — every worker thread — is recorded;
-/// the returned report covers data races, lock discipline, and the
-/// cross-thread persist-order rule R5. Traces grow with `threads ×
-/// txns_per_thread`, so race-checked runs should use the small
-/// configurations the check.sh gate uses, not benchmark scale.
-#[cfg(feature = "trace")]
-pub fn run_race_checked(
-    engine: &Engine,
-    workload: &dyn Workload,
-    cfg: &RunConfig,
-) -> (RunResult, falcon_race::RaceReport) {
-    engine.device().quiesce();
-    engine.device().trace_start_race();
-    let result = run(engine, workload, cfg);
-    engine.device().quiesce();
-    let trace = engine.device().trace_take();
-    (result, falcon_race::analyze(&trace))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

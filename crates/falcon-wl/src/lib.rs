@@ -21,8 +21,6 @@ pub mod tpcc;
 pub mod ycsb;
 pub mod zipf;
 
-#[cfg(feature = "trace")]
-pub use harness::run_race_checked;
 pub use harness::{run, RunConfig, RunResult, Workload};
 pub use tpcc::{Tpcc, TpccScale};
 pub use ycsb::{Dist, Ycsb, YcsbConfig, YcsbWorkload};

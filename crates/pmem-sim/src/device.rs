@@ -9,7 +9,8 @@ use crate::config::{PersistDomain, SimConfig};
 use crate::ctx::MemCtx;
 use crate::fault::{mix, FaultOutcome, FaultPlan};
 #[cfg(feature = "trace")]
-use crate::trace::{AtomicKind, Event, MemOrder, Trace, TraceMode, TraceSink};
+use crate::trace::{recorder::TraceSink, Trace, TraceMode};
+use crate::trace::{AtomicKind, Event, MemOrder};
 use crate::xpbuffer::{BlockWrite, XpBuffer, LINES_PER_BLOCK};
 use crate::{PAddr, CACHE_LINE};
 
@@ -106,20 +107,25 @@ impl PmemDevice {
     /// Create a device from a validated configuration.
     pub fn new(config: SimConfig) -> Result<PmemDevice, String> {
         config.validate()?;
-        let cache = CacheSim::new(config.cache_sets(), config.cache_ways, config.shards);
-        let xpbuffer = XpBuffer::new(config.xpbuffer_blocks, config.shards);
-        Ok(PmemDevice {
+        let (cpu, media) = (Backing::new(config.capacity), Backing::new(config.capacity));
+        Ok(PmemDevice::with_images(config, cpu, media))
+    }
+
+    /// A device over the given images, with a fresh cache, XPBuffer,
+    /// fault plane and recorder.
+    fn with_images(config: SimConfig, cpu: Backing, media: Backing) -> PmemDevice {
+        PmemDevice {
             inner: Arc::new(Inner {
-                cpu: Backing::new(config.capacity),
-                media: Backing::new(config.capacity),
-                cache,
-                xpbuffer,
+                cpu,
+                media,
+                cache: CacheSim::new(config.cache_sets(), config.cache_ways, config.shards),
+                xpbuffer: XpBuffer::new(config.xpbuffer_blocks, config.shards),
                 config,
                 fault: FaultState::new(),
                 #[cfg(feature = "trace")]
                 trace: TraceSink::new(),
             }),
-        })
+        }
     }
 
     /// Duplicate the device: both images are snapshotted, while the cache
@@ -132,135 +138,16 @@ impl PmemDevice {
     /// crashed devices if that matters.
     pub fn fork(&self) -> PmemDevice {
         let inner = &*self.inner;
-        let config = inner.config.clone();
-        let cache = CacheSim::new(config.cache_sets(), config.cache_ways, config.shards);
-        let xpbuffer = XpBuffer::new(config.xpbuffer_blocks, config.shards);
-        PmemDevice {
-            inner: Arc::new(Inner {
-                cpu: inner.cpu.duplicate(),
-                media: inner.media.duplicate(),
-                cache,
-                xpbuffer,
-                config,
-                fault: FaultState::new(),
-                #[cfg(feature = "trace")]
-                trace: TraceSink::new(),
-            }),
-        }
+        PmemDevice::with_images(
+            inner.config.clone(),
+            inner.cpu.duplicate(),
+            inner.media.duplicate(),
+        )
     }
 
     /// The device configuration.
     pub fn config(&self) -> &SimConfig {
         &self.inner.config
-    }
-
-    // ------------------------------------------------------------------
-    // Event tracing (feature `trace`).
-    // ------------------------------------------------------------------
-
-    /// Record `ev` if tracing is on (internal emission helper).
-    #[cfg(feature = "trace")]
-    #[inline]
-    fn t_emit(&self, ev: Event) {
-        self.inner.trace.emit(ev);
-    }
-
-    /// Start recording the event trace in [`TraceMode::Persist`],
-    /// discarding any previous recording. See [`crate::trace`].
-    #[cfg(feature = "trace")]
-    pub fn trace_start(&self) {
-        self.inner.trace.start(TraceMode::Persist);
-    }
-
-    /// Start recording in [`TraceMode::Race`]: plain loads, atomic
-    /// access kind/ordering and lock edges are recorded in addition to
-    /// the persist-mode stream, and device atomic ops are serialized
-    /// with their emission so the merged stream linearizes them. See
-    /// [`crate::trace`].
-    #[cfg(feature = "trace")]
-    pub fn trace_start_race(&self) {
-        self.inner.trace.start(TraceMode::Race);
-    }
-
-    /// Whether a race-mode recording is currently live. Engine
-    /// instrumentation uses this to gate race-only events (lock edges)
-    /// off the persist-mode stream.
-    #[cfg(feature = "trace")]
-    pub fn trace_racing(&self) -> bool {
-        self.inner.trace.racing()
-    }
-
-    /// Stop recording and return the globally ordered trace.
-    #[cfg(feature = "trace")]
-    pub fn trace_take(&self) -> Trace {
-        let mode = self.inner.trace.mode();
-        let (events, stamps) = self.inner.trace.stop();
-        Trace {
-            domain: self.inner.config.domain,
-            mode,
-            events,
-            stamps,
-        }
-    }
-
-    /// Record an engine-level event (transaction boundaries, log-range
-    /// and durable-intent hints). No-op unless tracing is on.
-    #[cfg(feature = "trace")]
-    pub fn trace_emit(&self, ev: Event) {
-        self.inner.trace.emit(ev);
-    }
-
-    /// Run an engine-level atomic operation `op` and record the event
-    /// `ev(&result)` for it, serialized under the race-mode sync lock so
-    /// the merged stamp order of the emission equals the memory-effect
-    /// order of `op`.
-    ///
-    /// This is the instrumentation hook for *engine-resident* atomics
-    /// (Met-Cache cells and other DRAM state that never touches the
-    /// device): in race mode the effect and its [`Event::AtomicOp`] are
-    /// linearized with the device's own atomic stream; outside race mode
-    /// `op` runs untraced at full speed. The event is picked from the
-    /// result so a failed CAS can trace as the atomic load it is.
-    #[cfg(feature = "trace")]
-    pub fn trace_atomic<R>(&self, op: impl FnOnce() -> R, ev: impl FnOnce(&R) -> Event) -> R {
-        if self.inner.trace.racing() {
-            let _g = self.inner.trace.sync_lock();
-            let r = op();
-            self.inner.trace.emit(ev(&r));
-            r
-        } else {
-            op()
-        }
-    }
-
-    /// Run a device-level atomic memory effect and trace it.
-    ///
-    /// In race mode the effect and its emission happen under the sync
-    /// lock and `race_ev(&result)` picks the [`Event::AtomicOp`]
-    /// recorded (a failed CAS traces as an atomic load). In persist mode
-    /// `persist_ev(&result)` picks the legacy event — a plain 8-byte
-    /// [`Event::Store`] for writes, nothing for loads — keeping
-    /// persist-mode traces bit-identical to the pre-race schema.
-    #[cfg(feature = "trace")]
-    #[inline]
-    fn traced_atomic<R>(
-        &self,
-        op: impl FnOnce() -> R,
-        persist_ev: impl FnOnce(&R) -> Option<Event>,
-        race_ev: impl FnOnce(&R) -> Event,
-    ) -> R {
-        if self.inner.trace.racing() {
-            let _g = self.inner.trace.sync_lock();
-            let r = op();
-            self.inner.trace.emit(race_ev(&r));
-            r
-        } else {
-            let r = op();
-            if let Some(ev) = persist_ev(&r) {
-                self.inner.trace.emit(ev);
-            }
-            r
-        }
     }
 
     /// Device capacity in bytes.
@@ -517,7 +404,6 @@ impl PmemDevice {
         let cost = &inner.config.cost;
         self.fault_tick(FaultOp::LineWb { line: line_addr });
         inner.cpu.copy_line_to(&inner.media, line_addr * CACHE_LINE);
-        #[cfg(feature = "trace")]
         if reason == WbReason::Evict {
             self.t_emit(Event::Evict {
                 thread: ctx.thread_id,
@@ -559,8 +445,7 @@ impl PmemDevice {
         }
         self.touch(addr, buf.len() as u64, false, ctx);
         self.inner.cpu.read_bytes(addr.0, buf);
-        #[cfg(feature = "trace")]
-        if self.inner.trace.racing() {
+        if self.trace_racing() {
             self.t_emit(Event::Load {
                 thread: ctx.thread_id,
                 addr: addr.0,
@@ -580,7 +465,6 @@ impl PmemDevice {
         }
         self.fault_tick(FaultOp::Store { addr: addr.0, data });
         self.inner.cpu.write_bytes(addr.0, data);
-        #[cfg(feature = "trace")]
         self.t_emit(Event::Store {
             thread: ctx.thread_id,
             addr: addr.0,
@@ -596,7 +480,6 @@ impl PmemDevice {
         }
         self.fault_tick(FaultOp::Zero { addr: addr.0, len });
         self.inner.cpu.zero(addr.0, len);
-        #[cfg(feature = "trace")]
         self.t_emit(Event::Store {
             thread: ctx.thread_id,
             addr: addr.0,
@@ -607,20 +490,7 @@ impl PmemDevice {
 
     /// Atomic 64-bit load (acquire).
     pub fn load_u64(&self, addr: PAddr, ctx: &mut MemCtx) -> u64 {
-        self.touch(addr, 8, false, ctx);
-        #[cfg(feature = "trace")]
-        return self.traced_atomic(
-            || self.inner.cpu.load_u64(addr.0),
-            |_| None,
-            |_| Event::AtomicOp {
-                thread: ctx.thread_id,
-                addr: addr.0,
-                kind: AtomicKind::Load,
-                order: MemOrder::Acquire,
-            },
-        );
-        #[cfg(not(feature = "trace"))]
-        self.inner.cpu.load_u64(addr.0)
+        self.load_word(addr, MemOrder::Acquire, ctx)
     }
 
     /// Atomic 64-bit load with *relaxed* ordering: reads the same cell
@@ -629,45 +499,12 @@ impl PmemDevice {
     /// value is acceptable; `falcon-race` flags any payload access that
     /// relies on a relaxed load for ordering.
     pub fn load_u64_relaxed(&self, addr: PAddr, ctx: &mut MemCtx) -> u64 {
-        self.touch(addr, 8, false, ctx);
-        #[cfg(feature = "trace")]
-        return self.traced_atomic(
-            || self.inner.cpu.load_u64(addr.0),
-            |_| None,
-            |_| Event::AtomicOp {
-                thread: ctx.thread_id,
-                addr: addr.0,
-                kind: AtomicKind::Load,
-                order: MemOrder::Relaxed,
-            },
-        );
-        #[cfg(not(feature = "trace"))]
-        self.inner.cpu.load_u64(addr.0)
+        self.load_word(addr, MemOrder::Relaxed, ctx)
     }
 
     /// Atomic 64-bit store (release).
     pub fn store_u64(&self, addr: PAddr, val: u64, ctx: &mut MemCtx) {
-        self.fault_tick(FaultOp::Other);
-        #[cfg(feature = "trace")]
-        self.traced_atomic(
-            || self.inner.cpu.store_u64(addr.0, val),
-            |_| {
-                Some(Event::Store {
-                    thread: ctx.thread_id,
-                    addr: addr.0,
-                    len: 8,
-                })
-            },
-            |_| Event::AtomicOp {
-                thread: ctx.thread_id,
-                addr: addr.0,
-                kind: AtomicKind::Store,
-                order: MemOrder::Release,
-            },
-        );
-        #[cfg(not(feature = "trace"))]
-        self.inner.cpu.store_u64(addr.0, val);
-        self.touch(addr, 8, true, ctx);
+        self.store_word(addr, val, MemOrder::Release, ctx);
     }
 
     /// Atomic 64-bit store with *relaxed* ordering: same cell as
@@ -677,139 +514,93 @@ impl PmemDevice {
     /// class `falcon-race` exists to catch (see the `relaxed_publish`
     /// fixture).
     pub fn store_u64_relaxed(&self, addr: PAddr, val: u64, ctx: &mut MemCtx) {
-        self.fault_tick(FaultOp::Other);
-        #[cfg(feature = "trace")]
-        self.traced_atomic(
-            || self.inner.cpu.store_u64(addr.0, val),
-            |_| {
-                Some(Event::Store {
-                    thread: ctx.thread_id,
-                    addr: addr.0,
-                    len: 8,
-                })
-            },
-            |_| Event::AtomicOp {
-                thread: ctx.thread_id,
-                addr: addr.0,
-                kind: AtomicKind::Store,
-                order: MemOrder::Relaxed,
-            },
-        );
-        #[cfg(not(feature = "trace"))]
-        self.inner.cpu.store_u64(addr.0, val);
-        self.touch(addr, 8, true, ctx);
+        self.store_word(addr, val, MemOrder::Relaxed, ctx);
     }
 
     /// Atomic compare-exchange (SeqCst); `Ok(previous)` on success.
     pub fn cas_u64(&self, addr: PAddr, old: u64, new: u64, ctx: &mut MemCtx) -> Result<u64, u64> {
         self.fault_tick(FaultOp::Other);
         ctx.advance(self.inner.config.cost.atomic_rmw);
-        #[cfg(feature = "trace")]
+        let thread = ctx.thread_id;
         let r = self.traced_atomic(
             || self.inner.cpu.cas_u64(addr.0, old, new),
+            |r| r.is_ok().then_some(word_store(thread, addr)),
+            // A failed CAS performs no store: trace it as the atomic load
+            // it is so the analyzer doesn't see a phantom write.
             |r| {
-                r.is_ok().then_some(Event::Store {
-                    thread: ctx.thread_id,
-                    addr: addr.0,
-                    len: 8,
-                })
-            },
-            |r| Event::AtomicOp {
-                thread: ctx.thread_id,
-                addr: addr.0,
-                // A failed CAS performs no store: trace it as the atomic
-                // load it is so the analyzer doesn't see a phantom write.
-                kind: if r.is_ok() {
+                let kind = if r.is_ok() {
                     AtomicKind::Rmw
                 } else {
                     AtomicKind::Load
-                },
-                order: MemOrder::SeqCst,
+                };
+                word_atomic(thread, addr, kind)
             },
         );
-        #[cfg(not(feature = "trace"))]
-        let r = self.inner.cpu.cas_u64(addr.0, old, new);
         self.touch(addr, 8, r.is_ok(), ctx);
         r
     }
 
     /// Atomic fetch-add (SeqCst).
     pub fn fetch_add_u64(&self, addr: PAddr, val: u64, ctx: &mut MemCtx) -> u64 {
-        self.fault_tick(FaultOp::Other);
-        ctx.advance(self.inner.config.cost.atomic_rmw);
-        #[cfg(feature = "trace")]
-        let r = self.traced_atomic(
-            || self.inner.cpu.fetch_add_u64(addr.0, val),
-            |_| {
-                Some(Event::Store {
-                    thread: ctx.thread_id,
-                    addr: addr.0,
-                    len: 8,
-                })
-            },
-            |_| Event::AtomicOp {
-                thread: ctx.thread_id,
-                addr: addr.0,
-                kind: AtomicKind::Rmw,
-                order: MemOrder::SeqCst,
-            },
-        );
-        #[cfg(not(feature = "trace"))]
-        let r = self.inner.cpu.fetch_add_u64(addr.0, val);
-        self.touch(addr, 8, true, ctx);
-        r
+        self.fetch_word(addr, ctx, || self.inner.cpu.fetch_add_u64(addr.0, val))
     }
 
     /// Atomic fetch-and (SeqCst).
     pub fn fetch_and_u64(&self, addr: PAddr, val: u64, ctx: &mut MemCtx) -> u64 {
-        self.fault_tick(FaultOp::Other);
-        ctx.advance(self.inner.config.cost.atomic_rmw);
-        #[cfg(feature = "trace")]
-        let r = self.traced_atomic(
-            || self.inner.cpu.fetch_and_u64(addr.0, val),
-            |_| {
-                Some(Event::Store {
-                    thread: ctx.thread_id,
-                    addr: addr.0,
-                    len: 8,
-                })
-            },
-            |_| Event::AtomicOp {
-                thread: ctx.thread_id,
-                addr: addr.0,
-                kind: AtomicKind::Rmw,
-                order: MemOrder::SeqCst,
-            },
-        );
-        #[cfg(not(feature = "trace"))]
-        let r = self.inner.cpu.fetch_and_u64(addr.0, val);
-        self.touch(addr, 8, true, ctx);
-        r
+        self.fetch_word(addr, ctx, || self.inner.cpu.fetch_and_u64(addr.0, val))
     }
 
     /// Atomic fetch-or (SeqCst).
     pub fn fetch_or_u64(&self, addr: PAddr, val: u64, ctx: &mut MemCtx) -> u64 {
-        self.fault_tick(FaultOp::Other);
-        ctx.advance(self.inner.config.cost.atomic_rmw);
-        #[cfg(feature = "trace")]
-        let r = self.traced_atomic(
-            || self.inner.cpu.fetch_or_u64(addr.0, val),
-            |_| {
-                Some(Event::Store {
-                    thread: ctx.thread_id,
-                    addr: addr.0,
-                    len: 8,
-                })
-            },
+        self.fetch_word(addr, ctx, || self.inner.cpu.fetch_or_u64(addr.0, val))
+    }
+
+    /// The one body of both atomic loads: traced only in race mode.
+    #[inline]
+    fn load_word(&self, addr: PAddr, order: MemOrder, ctx: &mut MemCtx) -> u64 {
+        self.touch(addr, 8, false, ctx);
+        self.traced_atomic(
+            || self.inner.cpu.load_u64(addr.0),
+            |_| None,
             |_| Event::AtomicOp {
                 thread: ctx.thread_id,
                 addr: addr.0,
-                kind: AtomicKind::Rmw,
-                order: MemOrder::SeqCst,
+                kind: AtomicKind::Load,
+                order,
+            },
+        )
+    }
+
+    /// The one body of both atomic stores.
+    #[inline]
+    fn store_word(&self, addr: PAddr, val: u64, order: MemOrder, ctx: &mut MemCtx) {
+        self.fault_tick(FaultOp::Other);
+        let thread = ctx.thread_id;
+        self.traced_atomic(
+            || self.inner.cpu.store_u64(addr.0, val),
+            |()| Some(word_store(thread, addr)),
+            |()| Event::AtomicOp {
+                thread,
+                addr: addr.0,
+                kind: AtomicKind::Store,
+                order,
             },
         );
-        #[cfg(not(feature = "trace"))]
-        let r = self.inner.cpu.fetch_or_u64(addr.0, val);
+        self.touch(addr, 8, true, ctx);
+    }
+
+    /// The one body of the SeqCst fetch-and-modify atomics; `op` is the
+    /// memory effect on the CPU image.
+    #[inline]
+    fn fetch_word(&self, addr: PAddr, ctx: &mut MemCtx, op: impl FnOnce() -> u64) -> u64 {
+        self.fault_tick(FaultOp::Other);
+        ctx.advance(self.inner.config.cost.atomic_rmw);
+        let thread = ctx.thread_id;
+        let r = self.traced_atomic(
+            op,
+            |_| Some(word_store(thread, addr)),
+            |_| word_atomic(thread, addr, AtomicKind::Rmw),
+        );
         self.touch(addr, 8, true, ctx);
         r
     }
@@ -828,7 +619,6 @@ impl PmemDevice {
         ctx.advance(cost.clwb_issue);
         let line = addr.line();
         let r = self.inner.cache.clwb(line);
-        #[cfg(feature = "trace")]
         self.t_emit(Event::Clwb {
             thread: ctx.thread_id,
             line,
@@ -880,7 +670,6 @@ impl PmemDevice {
         let cost = &self.inner.config.cost;
         ctx.stats.sfences += 1;
         ctx.advance(cost.sfence);
-        #[cfg(feature = "trace")]
         self.t_emit(Event::Sfence {
             thread: ctx.thread_id,
         });
@@ -918,7 +707,6 @@ impl PmemDevice {
     /// plan's bit flips are applied and the plan is consumed — see
     /// [`PmemDevice::fault_outcome`].
     pub fn crash(&self) {
-        #[cfg(feature = "trace")]
         self.t_emit(Event::CrashMark);
         if self.inner.fault.enabled.load(Ordering::SeqCst) {
             self.crash_with_faults();
@@ -962,7 +750,6 @@ impl PmemDevice {
     /// [`PmemDevice::crash`].
     pub fn quiesce(&self) {
         let inner = &*self.inner;
-        #[cfg(feature = "trace")]
         self.t_emit(Event::DrainXpb);
         inner.cache.drain(|line| {
             inner.cpu.copy_line_to(&inner.media, line * CACHE_LINE);
@@ -1008,6 +795,166 @@ impl PmemDevice {
     /// cache (diagnostic).
     pub fn line_cached(&self, addr: PAddr) -> bool {
         self.inner.cache.contains(addr.line())
+    }
+}
+
+/// The persist-mode event of an atomic word write: a plain 8-byte store.
+#[inline]
+fn word_store(thread: usize, addr: PAddr) -> Event {
+    Event::Store {
+        thread,
+        addr: addr.0,
+        len: 8,
+    }
+}
+
+/// The race-mode event of a SeqCst device atomic of `kind`.
+#[inline]
+fn word_atomic(thread: usize, addr: PAddr, kind: AtomicKind) -> Event {
+    Event::AtomicOp {
+        thread,
+        addr: addr.0,
+        kind,
+        order: MemOrder::SeqCst,
+    }
+}
+
+/// Event tracing with the recorder compiled in (feature `trace`). See
+/// [`crate::trace`].
+#[cfg(feature = "trace")]
+impl PmemDevice {
+    /// Record `ev` if tracing is on (internal emission helper).
+    #[inline]
+    fn t_emit(&self, ev: Event) {
+        self.inner.trace.emit(ev);
+    }
+
+    /// Start recording the event trace in [`TraceMode::Persist`],
+    /// discarding any previous recording. See [`crate::trace`].
+    pub fn trace_start(&self) {
+        self.inner.trace.start(TraceMode::Persist);
+    }
+
+    /// Start recording in [`TraceMode::Race`]: plain loads, atomic
+    /// access kind/ordering and lock edges are recorded in addition to
+    /// the persist-mode stream, and device atomic ops are serialized
+    /// with their emission so the merged stream linearizes them. See
+    /// [`crate::trace`].
+    pub fn trace_start_race(&self) {
+        self.inner.trace.start(TraceMode::Race);
+    }
+
+    /// Whether a race-mode recording is currently live. Engine
+    /// instrumentation uses this to gate race-only events (lock edges)
+    /// off the persist-mode stream.
+    #[inline]
+    pub fn trace_racing(&self) -> bool {
+        self.inner.trace.racing()
+    }
+
+    /// Stop recording and return the globally ordered trace.
+    pub fn trace_take(&self) -> Trace {
+        let mode = self.inner.trace.mode();
+        let (events, stamps) = self.inner.trace.stop();
+        Trace {
+            domain: self.inner.config.domain,
+            mode,
+            events,
+            stamps,
+        }
+    }
+
+    /// Record an engine-level event (transaction boundaries, log-range
+    /// and durable-intent hints). No-op unless tracing is on.
+    #[inline]
+    pub fn trace_emit(&self, ev: Event) {
+        self.inner.trace.emit(ev);
+    }
+
+    /// Run an engine-level atomic operation `op` and record the event
+    /// `ev(&result)` for it, serialized under the race-mode sync lock so
+    /// the merged stamp order of the emission equals the memory-effect
+    /// order of `op`.
+    ///
+    /// This is the instrumentation hook for *engine-resident* atomics
+    /// (Met-Cache cells and other DRAM state that never touches the
+    /// device): in race mode the effect and its [`Event::AtomicOp`] are
+    /// linearized with the device's own atomic stream; outside race mode
+    /// `op` runs untraced at full speed. The event is picked from the
+    /// result so a failed CAS can trace as the atomic load it is.
+    pub fn trace_atomic<R>(&self, op: impl FnOnce() -> R, ev: impl FnOnce(&R) -> Event) -> R {
+        if self.inner.trace.racing() {
+            let _g = self.inner.trace.sync_lock();
+            let r = op();
+            self.inner.trace.emit(ev(&r));
+            r
+        } else {
+            op()
+        }
+    }
+
+    /// Run a device-level atomic memory effect and trace it.
+    ///
+    /// In race mode the effect and its emission happen under the sync
+    /// lock and `race_ev(&result)` picks the [`Event::AtomicOp`]
+    /// recorded (a failed CAS traces as an atomic load). In persist mode
+    /// `persist_ev(&result)` picks the legacy event — a plain 8-byte
+    /// [`Event::Store`] for writes, nothing for loads — keeping
+    /// persist-mode traces bit-identical to the pre-race schema.
+    #[inline]
+    fn traced_atomic<R>(
+        &self,
+        op: impl FnOnce() -> R,
+        persist_ev: impl FnOnce(&R) -> Option<Event>,
+        race_ev: impl FnOnce(&R) -> Event,
+    ) -> R {
+        if self.inner.trace.racing() {
+            let _g = self.inner.trace.sync_lock();
+            let r = op();
+            self.inner.trace.emit(race_ev(&r));
+            r
+        } else {
+            let r = op();
+            if let Some(ev) = persist_ev(&r) {
+                self.inner.trace.emit(ev);
+            }
+            r
+        }
+    }
+}
+
+/// Event tracing without a recorder: the same helpers as above, each an
+/// `#[inline(always)]` no-op that runs the traced operation and never
+/// builds its event, so every emission site folds away.
+#[cfg(not(feature = "trace"))]
+impl PmemDevice {
+    #[inline(always)]
+    fn t_emit(&self, _ev: Event) {}
+
+    /// Whether a race-mode recording is live: never, without a recorder.
+    #[inline(always)]
+    pub fn trace_racing(&self) -> bool {
+        false
+    }
+
+    /// Record an engine-level event: nothing to record into.
+    #[inline(always)]
+    pub fn trace_emit(&self, _ev: Event) {}
+
+    /// Run the engine-level atomic operation `op`; `ev` is never called.
+    #[inline(always)]
+    pub fn trace_atomic<R>(&self, op: impl FnOnce() -> R, _ev: impl FnOnce(&R) -> Event) -> R {
+        op()
+    }
+
+    #[inline(always)]
+    fn traced_atomic<R>(
+        &self,
+        op: impl FnOnce() -> R,
+        _persist_ev: impl FnOnce(&R) -> Option<Event>,
+        _race_ev: impl FnOnce(&R) -> Event,
+    ) -> R {
+        op()
     }
 }
 

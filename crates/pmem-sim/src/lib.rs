@@ -54,7 +54,6 @@ pub mod device;
 pub mod fault;
 pub mod pacer;
 pub mod stats;
-#[cfg(feature = "trace")]
 pub mod trace;
 pub mod xpbuffer;
 

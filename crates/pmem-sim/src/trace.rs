@@ -1,53 +1,64 @@
-//! Event tracing for persistency-order and concurrency checking
-//! (feature `trace`).
+//! Event tracing for persistency-order and concurrency checking.
 //!
-//! When built with the `trace` feature the device can record a globally
-//! ordered stream of memory events — stores, `clwb`s, fences, evictions
-//! and crash/quiesce markers — plus *engine-level hint events* that an
-//! OLTP engine emits through [`PmemDevice::trace_emit`]: transaction
-//! boundaries, log-window ranges, commit records and durable-intent
-//! ranges. The `falcon-check` crate consumes the merged trace and checks
-//! pmemcheck-style persistency-order rules over it; the `falcon-race`
-//! crate consumes the same trace recorded in [`TraceMode::Race`] and
-//! runs vector-clock happens-before analysis over it.
+//! The device can record a globally ordered stream of memory events —
+//! stores, `clwb`s, fences, evictions and crash/quiesce markers — plus
+//! *engine-level hint events* that an OLTP engine emits through
+//! [`PmemDevice::trace_emit`]: transaction boundaries, log-window
+//! ranges, commit records and durable-intent ranges. The `falcon-check`
+//! crate consumes the merged trace and checks pmemcheck-style
+//! persistency-order rules over it; the `falcon-race` crate consumes the
+//! same trace recorded in race mode and runs vector-clock
+//! happens-before analysis over it.
 //!
-//! Recording is inert until [`PmemDevice::trace_start`] (or
-//! [`PmemDevice::trace_start_race`]) is called: every emission site
-//! checks one relaxed atomic and returns. Without the `trace` feature
-//! the recorder does not exist at all, so default builds carry zero
-//! overhead.
+//! # One code path, one build choice
+//!
+//! The event types here ([`Event`], [`AtomicKind`], [`MemOrder`],
+//! [`DRAM_SPACE`]) and the emission helpers on [`PmemDevice`]
+//! (`trace_emit`, `trace_atomic`, `trace_racing`) exist in every build,
+//! so every emission site in the device and the engine is written once.
+//! Only the recorder is a build choice: the `trace` feature adds
+//! `TraceMode`, `Stamp`, `Trace` and `PmemDevice::{trace_start,
+//! trace_start_race, trace_take}`. Without it the helpers are
+//! `#[inline(always)]` no-ops that run the traced operation and never
+//! build an event, because compiling the recorder in costs measurable
+//! host time on the hot paths (DESIGN.md §12). A test that analyses a
+//! trace cannot compile without a recorder, so it can never pass on an
+//! empty one.
+//!
+//! With the recorder compiled in, recording is inert until
+//! `trace_start` (or `trace_start_race`) is called: every emission
+//! site checks one relaxed atomic and returns.
 //!
 //! # Two recording modes
 //!
-//! * [`TraceMode::Persist`] is the original single-purpose stream for
+//! * Persist mode is the original single-purpose stream for
 //!   `falcon-check`: only persistence-relevant events (stores, flushes,
 //!   fences, engine hints) are recorded, exactly as before the race
 //!   plane existed. Existing R1–R4 verdicts are bit-for-bit stable.
-//! * [`TraceMode::Race`] additionally records plain loads, the *kind
-//!   and memory ordering* of every atomic access ([`Event::AtomicOp`]),
-//!   and lock acquire/release edges — everything a happens-before
-//!   analyzer needs. Atomic accesses are serialized with their emission
-//!   under one mutex so the merged stream is a true linearization: the
-//!   stamp order of two atomic ops equals their memory-effect order.
+//! * Race mode additionally records plain loads, the *kind and memory
+//!   ordering* of every atomic access ([`Event::AtomicOp`]), and lock
+//!   acquire/release edges — everything a happens-before analyzer
+//!   needs. Atomic accesses are serialized with their emission under
+//!   one mutex so the merged stream is a true linearization: the stamp
+//!   order of two atomic ops equals their memory-effect order.
 //!
 //! # Stamps: global epoch + per-thread sequence
 //!
-//! Every event carries a [`Stamp`]: a *global epoch* (`gseq`, one shared
-//! counter — the merge key) and a *per-thread sequence* (`tseq`,
+//! Every recorded event carries a stamp: a *global epoch* (`gseq`, one
+//! shared counter — the merge key) and a *per-thread sequence* (`tseq`,
 //! strictly increasing along each thread's own subsequence). The
 //! per-thread sequence makes program order recoverable from a merged
 //! multi-threaded stream even if the global counter ever changes
 //! granularity, and lets checkers assert they were handed an undamaged
-//! stream ([`Trace::validate_stamps`]).
+//! stream (`Trace::validate_stamps`).
 //!
+//! [`PmemDevice`]: crate::PmemDevice
 //! [`PmemDevice::trace_emit`]: crate::PmemDevice::trace_emit
-//! [`PmemDevice::trace_start`]: crate::PmemDevice::trace_start
-//! [`PmemDevice::trace_start_race`]: crate::PmemDevice::trace_start_race
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
-
-use crate::config::PersistDomain;
+#[cfg(feature = "trace")]
+pub(crate) mod recorder;
+#[cfg(feature = "trace")]
+pub use recorder::{Stamp, Trace, TraceMode};
 
 /// Synthetic address space for engine-resident DRAM state (Met-Cache
 /// cells, counters) traced via [`Event::AtomicOp`]. DRAM addresses are
@@ -111,11 +122,11 @@ impl MemOrder {
 /// emitted by the engine through [`crate::PmemDevice::trace_emit`] to
 /// give the checker the semantic context the raw memory stream lacks.
 /// The `Load` / `AtomicOp` / `LockAcquire` / `LockRelease` group only
-/// appears in [`TraceMode::Race`] recordings.
+/// appears in race-mode recordings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
     /// A plain (non-atomic) store of `len` bytes at byte address `addr`
-    /// (`write` or `zero`; in [`TraceMode::Persist`] also atomic
+    /// (`write` or `zero`; in persist mode also atomic
     /// stores/RMWs, which that mode does not distinguish).
     Store {
         /// Issuing worker thread.
@@ -126,7 +137,7 @@ pub enum Event {
         len: u64,
     },
     /// A plain (non-atomic) load of `len` bytes at `addr`. Recorded in
-    /// [`TraceMode::Race`] only.
+    /// race mode only.
     Load {
         /// Issuing worker thread.
         thread: usize,
@@ -136,7 +147,7 @@ pub enum Event {
         len: u64,
     },
     /// An atomic access (8 bytes at `addr`) with its kind and memory
-    /// ordering. Recorded in [`TraceMode::Race`] only; device-level
+    /// ordering. Recorded in race mode only; device-level
     /// atomic ops are serialized with their emission, so the merged
     /// stamp order of `AtomicOp` events at one address is exactly their
     /// memory-effect (linearization) order.
@@ -153,7 +164,7 @@ pub enum Event {
         order: MemOrder,
     },
     /// Thread `thread` acquired lock `lock`. Recorded in
-    /// [`TraceMode::Race`] only.
+    /// race mode only.
     LockAcquire {
         /// Acquiring thread.
         thread: usize,
@@ -163,7 +174,7 @@ pub enum Event {
         excl: bool,
     },
     /// Thread `thread` released lock `lock`. Recorded in
-    /// [`TraceMode::Race`] only.
+    /// race mode only.
     LockRelease {
         /// Releasing thread.
         thread: usize,
@@ -272,7 +283,7 @@ impl Event {
 
     /// Project a race-mode event to its persist-mode equivalent:
     /// `AtomicOp` stores/RMWs become the 8-byte [`Event::Store`] that
-    /// [`TraceMode::Persist`] would have recorded; race-only events
+    /// persist mode would have recorded; race-only events
     /// (loads, atomic loads, lock edges) vanish. Everything else is
     /// unchanged.
     #[must_use]
@@ -294,237 +305,11 @@ impl Event {
     }
 }
 
-/// What the recorder captures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TraceMode {
-    /// Persistence-relevant events only (the original `falcon-check`
-    /// stream).
-    #[default]
-    Persist,
-    /// Everything `Persist` records, plus plain loads, atomic access
-    /// kind/ordering and lock edges, with atomic ops serialized against
-    /// their emission (for `falcon-race`).
-    Race,
-}
-
-/// Per-event ordering stamp: global epoch + per-thread sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Stamp {
-    /// Global epoch: one shared counter stamped at emission; the merge
-    /// key for the global order.
-    pub gseq: u64,
-    /// Per-thread sequence: strictly increasing along the emitting
-    /// thread's own subsequence of the stream.
-    pub tseq: u64,
-}
-
-/// A recorded trace: the device's persistence domain, the recording
-/// mode, and the globally ordered event stream with its stamps.
-#[derive(Debug, Clone)]
-pub struct Trace {
-    /// Persistence domain the device ran under (checker rules depend on
-    /// it: under eADR the cache itself is durable).
-    pub domain: PersistDomain,
-    /// Mode the trace was recorded in.
-    pub mode: TraceMode,
-    /// Events in global order.
-    pub events: Vec<Event>,
-    /// Stamps parallel to `events` (`stamps[i]` stamps `events[i]`).
-    /// Empty for synthetic traces built directly from event lists.
-    pub stamps: Vec<Stamp>,
-}
-
-impl Trace {
-    /// Build a synthetic trace from a bare event list (checker tests,
-    /// hand-written fixtures). Synthetic traces carry no stamps.
-    #[must_use]
-    pub fn synthetic(domain: PersistDomain, events: Vec<Event>) -> Trace {
-        Trace {
-            domain,
-            mode: TraceMode::Persist,
-            events,
-            stamps: Vec::new(),
-        }
-    }
-
-    /// Project a race-mode trace to the persist-mode trace the same
-    /// execution would have recorded: race-only events are dropped and
-    /// `AtomicOp` writes collapse to plain 8-byte stores (see
-    /// [`Event::persist_equivalent`]). `falcon-check`'s R1–R4 verdicts
-    /// on the projection are identical to a native persist-mode
-    /// recording of the same single-threaded execution.
-    #[must_use]
-    pub fn persist_view(&self) -> Trace {
-        let mut events = Vec::with_capacity(self.events.len());
-        let mut stamps = Vec::with_capacity(self.stamps.len());
-        for (i, ev) in self.events.iter().enumerate() {
-            if let Some(p) = ev.persist_equivalent() {
-                events.push(p);
-                if let Some(&s) = self.stamps.get(i) {
-                    stamps.push(s);
-                }
-            }
-        }
-        Trace {
-            domain: self.domain,
-            mode: TraceMode::Persist,
-            events,
-            stamps,
-        }
-    }
-
-    /// Check stamp integrity: `gseq` strictly increasing along the
-    /// merged stream and `tseq` strictly increasing along every
-    /// per-thread subsequence. Returns `Err` naming the first violation.
-    /// Vacuously `Ok` for synthetic (stamp-less) traces.
-    pub fn validate_stamps(&self) -> Result<(), String> {
-        if self.stamps.is_empty() {
-            return Ok(());
-        }
-        if self.stamps.len() != self.events.len() {
-            return Err(format!(
-                "stamp/event length mismatch: {} stamps, {} events",
-                self.stamps.len(),
-                self.events.len()
-            ));
-        }
-        let mut last_gseq: Option<u64> = None;
-        let mut last_tseq: std::collections::HashMap<usize, u64> = std::collections::HashMap::new();
-        for (i, (ev, st)) in self.events.iter().zip(&self.stamps).enumerate() {
-            if let Some(g) = last_gseq {
-                if st.gseq <= g {
-                    return Err(format!(
-                        "event {i}: global epoch not increasing ({} after {g})",
-                        st.gseq
-                    ));
-                }
-            }
-            last_gseq = Some(st.gseq);
-            let t = ev.thread();
-            if let Some(&prev) = last_tseq.get(&t) {
-                if st.tseq <= prev {
-                    return Err(format!(
-                        "event {i}: thread {t} sequence not increasing ({} after {prev})",
-                        st.tseq
-                    ));
-                }
-            }
-            last_tseq.insert(t, st.tseq);
-        }
-        Ok(())
-    }
-}
-
-/// Number of buffer shards (worker threads hash onto these; sharding
-/// only reduces lock contention, correctness never depends on it).
-const SHARDS: usize = 16;
-
-/// Number of per-thread sequence counters. Threads hash onto these with
-/// `thread % TSEQ_SLOTS`; a collision shares a counter between two
-/// threads, which keeps each thread's own subsequence strictly
-/// increasing (a shared monotonic counter is monotonic for every
-/// reader) — only density, not correctness, is affected.
-const TSEQ_SLOTS: usize = 64;
-
-/// The in-device recorder.
-pub(crate) struct TraceSink {
-    enabled: AtomicBool,
-    race: AtomicBool,
-    /// Global epoch counter (`Stamp::gseq`).
-    seq: AtomicU64,
-    /// Per-thread sequence counters (`Stamp::tseq`), indexed by
-    /// `thread % TSEQ_SLOTS`.
-    tseq: [AtomicU64; TSEQ_SLOTS],
-    shards: [Mutex<Vec<(Stamp, Event)>>; SHARDS],
-    /// Race-mode serialization: device atomic ops take this around
-    /// (memory effect + emit) so the merged stamp order of atomics is
-    /// their linearization order.
-    sync: Mutex<()>,
-}
-
-impl TraceSink {
-    pub(crate) fn new() -> TraceSink {
-        TraceSink {
-            enabled: AtomicBool::new(false),
-            race: AtomicBool::new(false),
-            seq: AtomicU64::new(0),
-            tseq: std::array::from_fn(|_| AtomicU64::new(0)),
-            shards: std::array::from_fn(|_| Mutex::new(Vec::new())),
-            sync: Mutex::new(()),
-        }
-    }
-
-    /// Discard any previous recording and start a new one in `mode`.
-    pub(crate) fn start(&self, mode: TraceMode) {
-        for s in &self.shards {
-            s.lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .clear();
-        }
-        self.seq.store(0, Ordering::Relaxed);
-        for t in &self.tseq {
-            t.store(0, Ordering::Relaxed);
-        }
-        self.race.store(mode == TraceMode::Race, Ordering::Relaxed);
-        self.enabled.store(true, Ordering::Release);
-    }
-
-    /// The mode recording is currently in.
-    pub(crate) fn mode(&self) -> TraceMode {
-        if self.race.load(Ordering::Relaxed) {
-            TraceMode::Race
-        } else {
-            TraceMode::Persist
-        }
-    }
-
-    /// Whether a race-mode recording is live (the hot-path check for
-    /// race-only emission sites).
-    #[inline]
-    pub(crate) fn racing(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed) && self.race.load(Ordering::Relaxed)
-    }
-
-    /// Take the race-mode serialization lock (see [`TraceSink::sync`]).
-    pub(crate) fn sync_lock(&self) -> MutexGuard<'_, ()> {
-        self.sync
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Stop recording and return the merged, globally ordered stream
-    /// with stamps.
-    pub(crate) fn stop(&self) -> (Vec<Event>, Vec<Stamp>) {
-        self.enabled.store(false, Ordering::Release);
-        let mut all: Vec<(Stamp, Event)> = Vec::new();
-        for s in &self.shards {
-            all.append(&mut s.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
-        }
-        all.sort_unstable_by_key(|&(st, _)| st.gseq);
-        let stamps = all.iter().map(|&(st, _)| st).collect();
-        let events = all.into_iter().map(|(_, ev)| ev).collect();
-        (events, stamps)
-    }
-
-    /// Record one event (no-op unless recording is on).
-    #[inline]
-    pub(crate) fn emit(&self, ev: Event) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
-        let gseq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let tseq = self.tseq[ev.thread() % TSEQ_SLOTS].fetch_add(1, Ordering::Relaxed);
-        let shard = ev.thread() % SHARDS;
-        self.shards[shard]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push((Stamp { gseq, tseq }, ev));
-    }
-}
-
-#[cfg(test)]
+#[cfg(all(test, feature = "trace"))]
 mod tests {
+    use super::recorder::TraceSink;
     use super::*;
+    use crate::config::PersistDomain;
 
     #[test]
     fn disabled_sink_records_nothing() {

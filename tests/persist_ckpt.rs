@@ -1,5 +1,4 @@
-//! The checkpoint epoch publish under the persistency-order analyzer
-//! (requires `--features trace`).
+//! The checkpoint epoch publish under the persistency-order analyzer.
 //!
 //! A boundary checkpoint publish runs as its own analyzer
 //! pseudo-transaction: the bank write is its logged state, the epoch
@@ -10,8 +9,9 @@
 //! actually watching: dropped record-line flushes must raise
 //! FlushCoverage and CommitDurability, and a skipped pre-swing fence
 //! must raise FenceOrdering.
-
-#![cfg(feature = "trace")]
+//!
+//! The recorder comes with the `falcon-check` dev-dependency, which
+//! builds pmem-sim with its `trace` feature.
 
 use falcon_check::{check, Report, Rule};
 use falcon_core::checkpoint::{self, inject};

@@ -1,5 +1,4 @@
-//! The B⁺-tree split protocol under the persistency-order analyzer
-//! (requires `--features trace`).
+//! The B⁺-tree split protocol under the persistency-order analyzer.
 //!
 //! A split runs as its own analyzer pseudo-transaction: the raised
 //! `splitting` flag plays the log header, the new nodes and the pointer
@@ -10,8 +9,9 @@
 //! dropped node write-back must raise FlushCoverage *and*
 //! CommitDurability, and a skipped commit fence must raise
 //! FenceOrdering.
-
-#![cfg(feature = "trace")]
+//!
+//! The recorder comes with the `falcon-check` dev-dependency, which
+//! builds pmem-sim with its `trace` feature.
 
 use falcon_check::{check, Report, Rule};
 use falcon_index::{Index, NbTree};

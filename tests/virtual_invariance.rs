@@ -29,8 +29,13 @@
 //!
 //! The cache is shrunk to 512 KB so both tables overflow it and the runs
 //! cover the eviction, write-back, XPBuffer and media-RMW paths.
+//!
+//! Each run is repeated with the device recording its event trace, in
+//! persist mode and in race mode (which also serializes every atomic
+//! under the recorder's lock): recording must never move the virtual
+//! clock, so all three runs must hit the same constants.
 
-use falcon::engine::{CcAlgo, EngineConfig};
+use falcon::engine::{CcAlgo, Engine, EngineConfig};
 use falcon::sim::{DeviceStats, ThreadStats};
 use falcon::workloads::harness::{build_engine, run, RunConfig, RunResult, Workload};
 use falcon::workloads::tpcc::{Tpcc, TpccScale};
@@ -63,12 +68,36 @@ fn virtual_metrics(r: &RunResult) -> (u64, u64, DeviceStats) {
     (r.elapsed_ns, r.committed, r.stats)
 }
 
+/// What the device records during a pinned run.
+#[derive(Clone, Copy, Debug)]
+enum Recording {
+    Off,
+    Persist,
+    Race,
+}
+
+const RECORDINGS: [Recording; 3] = [Recording::Off, Recording::Persist, Recording::Race];
+
+/// [`virtual_metrics`] of one measured run under `rec`; a recording run
+/// must have recorded something, and a silent one nothing.
+fn recorded_run(engine: &Engine, w: &dyn Workload, rec: Recording) -> (u64, u64, DeviceStats) {
+    let dev = engine.device();
+    match rec {
+        Recording::Off => {}
+        Recording::Persist => dev.trace_start(),
+        Recording::Race => dev.trace_start_race(),
+    }
+    let r = run(engine, w, &rc());
+    let events = dev.trace_take().events.len();
+    match rec {
+        Recording::Off => assert_eq!(events, 0, "nothing records when off"),
+        Recording::Persist | Recording::Race => assert!(events > 0, "{rec:?} recorded nothing"),
+    }
+    virtual_metrics(&r)
+}
+
 #[test]
 fn ycsb_a_virtual_metrics_are_pinned() {
-    let y = Ycsb::new(YcsbConfig::new(YcsbWorkload::A, Dist::Zipfian).with_records(4 << 10));
-    let engine = build_engine(cfg(), &[y.table_def()], 16 << 20, sim());
-    y.setup(&engine);
-    let r = run(&engine, &y, &rc());
     let want = (
         5_348_801,
         1_500,
@@ -91,15 +120,16 @@ fn ycsb_a_virtual_metrics_are_pinned() {
             threads: 1,
         },
     );
-    assert_eq!(virtual_metrics(&r), want);
+    for rec in RECORDINGS {
+        let y = Ycsb::new(YcsbConfig::new(YcsbWorkload::A, Dist::Zipfian).with_records(4 << 10));
+        let engine = build_engine(cfg(), &[y.table_def()], 16 << 20, sim());
+        y.setup(&engine);
+        assert_eq!(recorded_run(&engine, &y, rec), want, "{rec:?}");
+    }
 }
 
 #[test]
 fn tpcc_virtual_metrics_are_pinned() {
-    let t = Tpcc::new(TpccScale::tiny());
-    let engine = build_engine(cfg(), &t.table_defs(), t.scale().approx_bytes() * 2, sim());
-    t.setup(&engine);
-    let r = run(&engine, &t, &rc());
     let want = (
         41_916_818,
         1_500,
@@ -122,5 +152,10 @@ fn tpcc_virtual_metrics_are_pinned() {
             threads: 1,
         },
     );
-    assert_eq!(virtual_metrics(&r), want);
+    for rec in RECORDINGS {
+        let t = Tpcc::new(TpccScale::tiny());
+        let engine = build_engine(cfg(), &t.table_defs(), t.scale().approx_bytes() * 2, sim());
+        t.setup(&engine);
+        assert_eq!(recorded_run(&engine, &t, rec), want, "{rec:?}");
+    }
 }

@@ -1,8 +1,11 @@
-//! falcon-perf: emit or gate the committed benchmark trajectory.
+//! falcon-perf: emit or gate the committed benchmark trajectory, and
+//! regenerate the paper's figures.
 //!
 //! ```text
 //! falcon_perf emit [--label STR] [--out PATH] [--profile folded]
 //! falcon_perf check --against PATH [--tol F]
+//! falcon_perf figure <fig03|fig07|fig08|fig09|fig11|fig12|recovery|ablation|diag|all>
+//!                    [--scale smoke|default|paper]
 //! ```
 //!
 //! `emit` runs the fixed suite lineup (see `falcon_bench::perf`) and
@@ -13,19 +16,38 @@
 //!
 //! `check` reruns the lineup and diffs it against a committed
 //! `bench/BENCH_*.json` with a direction-aware relative tolerance
-//! (`--tol`, else `FALCON_PERF_TOL`, else 0: exact). Exit status 1 plus a
-//! per-metric delta table when any metric regressed.
+//! (`--tol`, default 0: exact). Exit status 1 plus a per-metric delta
+//! table when any metric regressed.
+//!
+//! `figure` runs one figure's experiments (or `all` of them) at a
+//! sizing preset, prints its tables and writes `results/*.json` (see
+//! `falcon_bench::figure`). A results file that cannot be written is an
+//! error (exit status 1).
 
 use std::process::ExitCode;
 
-use falcon_bench::perf;
+use falcon_bench::{figure, perf};
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: falcon_perf emit [--label STR] [--out PATH] [--profile folded]\n       \
-         falcon_perf check --against PATH [--tol F]"
+         falcon_perf check --against PATH [--tol F]\n       {}",
+        figure::USAGE
     );
     ExitCode::from(2)
+}
+
+fn figure_cmd(args: &[String]) -> ExitCode {
+    let Some(plan) = figure::parse(args) else {
+        return usage();
+    };
+    match figure::run(&plan, std::path::Path::new("results")) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("falcon_perf: cannot write results: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 fn main() -> ExitCode {
@@ -91,13 +113,7 @@ fn main() -> ExitCode {
                 }
             }
             let Some(path) = against else { return usage() };
-            let tol = tol
-                .or_else(|| {
-                    std::env::var("FALCON_PERF_TOL")
-                        .ok()
-                        .and_then(|v| v.parse().ok())
-                })
-                .unwrap_or(perf::DEFAULT_TOL);
+            let tol = tol.unwrap_or(perf::DEFAULT_TOL);
             let baseline = match std::fs::read_to_string(&path) {
                 Ok(s) => s,
                 Err(e) => {
@@ -130,6 +146,7 @@ fn main() -> ExitCode {
                 }
             }
         }
+        Some("figure") => figure_cmd(&args[1..]),
         _ => usage(),
     }
 }

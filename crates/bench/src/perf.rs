@@ -30,7 +30,7 @@ use falcon_wl::harness::{build_engine, run, RunConfig, RunResult, Workload};
 use falcon_wl::ycsb::{Dist, Ycsb, YcsbConfig, YcsbWorkload};
 use serde_json::{json, Value};
 
-use crate::{run_tpcc, run_ycsb, ycsb_cfg};
+use crate::{Run, Wl};
 
 /// Schema tag carried by every benchmark record; [`compare`] refuses to
 /// diff records with different tags.
@@ -132,8 +132,9 @@ struct Suite {
     cost: Option<CostMatrix>,
 }
 
-fn workload_suite(name: &'static str, mk: impl FnOnce() -> RunResult) -> Suite {
-    let r = mk();
+/// A workload suite: `wl` on the Falcon engine under OCC.
+fn workload_suite(name: &'static str, wl: Wl, rc: RunConfig) -> Suite {
+    let (r, _) = Run::new(EngineConfig::falcon(), CcAlgo::Occ, wl, rc).exec();
     eprintln!(
         "[falcon-perf] {name:<10} {:>10.3} ktxn/s (virtual)",
         r.txn_per_sec / 1e3
@@ -146,25 +147,12 @@ fn workload_suite(name: &'static str, mk: impl FnOnce() -> RunResult) -> Suite {
 }
 
 fn ycsb_suite(name: &'static str, wl: YcsbWorkload) -> Suite {
-    workload_suite(name, || {
-        run_ycsb(
-            EngineConfig::falcon(),
-            CcAlgo::Occ,
-            ycsb_cfg(wl, Dist::Zipfian, YCSB_RECORDS),
-            &suite_rc(2_000, 200),
-        )
-    })
+    let ycsb = YcsbConfig::new(wl, Dist::Zipfian).with_records(YCSB_RECORDS);
+    workload_suite(name, Wl::Ycsb(ycsb), suite_rc(2_000, 200))
 }
 
 fn tpcc_suite() -> Suite {
-    workload_suite("tpcc", || {
-        run_tpcc(
-            EngineConfig::falcon(),
-            CcAlgo::Occ,
-            2,
-            &suite_rc(1_000, 100),
-        )
-    })
+    workload_suite("tpcc", Wl::tpcc(2), suite_rc(1_000, 100))
 }
 
 /// Crash-recovery leg: load YCSB, run briefly, crash the device, and
@@ -172,8 +160,8 @@ fn tpcc_suite() -> Suite {
 fn recovery_suite() -> Suite {
     let cfg = EngineConfig::falcon().with_cc(CcAlgo::Occ).with_threads(1);
     let y = Ycsb::new(YcsbConfig::new(YcsbWorkload::A, Dist::Uniform).with_records(YCSB_RECORDS));
-    let data = YCSB_RECORDS * (u64::from(y.config().tuple_size()) + 64);
-    let engine = build_engine(cfg.clone(), &[y.table_def()], data * 2, None);
+    let bytes = y.config().approx_bytes() * 2;
+    let engine = build_engine(cfg.clone(), &[y.table_def()], bytes, None);
     y.setup(&engine);
     let _ = run(&engine, &y, &suite_rc(200, 0));
     let dev = engine.device().clone();
@@ -219,8 +207,8 @@ fn ckpt_suite() -> Suite {
     cfg.name = "Falcon (ckpt)";
     cfg.window_bytes = 1024;
     let y = Ycsb::new(YcsbConfig::new(YcsbWorkload::A, Dist::Uniform).with_records(YCSB_RECORDS));
-    let data = YCSB_RECORDS * (u64::from(y.config().tuple_size()) + 64);
-    let engine = build_engine(cfg.clone(), &[y.table_def()], data * 2, None);
+    let bytes = y.config().approx_bytes() * 2;
+    let engine = build_engine(cfg.clone(), &[y.table_def()], bytes, None);
     y.setup(&engine);
     // 397 transactions: deliberately not a multiple of the boundary-
     // checkpoint interval, so the crash lands mid-interval and the

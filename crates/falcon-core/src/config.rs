@@ -354,10 +354,6 @@ impl EngineConfig {
         if self.ckpt_spill_threshold > self.ckpt_spill_cap {
             return Err("ckpt_spill_threshold must not exceed ckpt_spill_cap".into());
         }
-        if self.update == UpdateStrategy::OutOfPlace && self.log == LogPolicy::NvmLog {
-            // Out-of-place is log-free; the log policy is ignored but we
-            // keep the default to make configs comparable.
-        }
         if self.group_commit
             && (self.update != UpdateStrategy::InPlace || self.log != LogPolicy::SmallWindow)
         {

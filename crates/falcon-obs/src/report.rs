@@ -18,7 +18,7 @@ pub const SCHEMA_VERSION: u64 = 7;
 /// Identifying metadata for one run.
 #[derive(Debug, Clone, Default)]
 pub struct ReportMeta {
-    /// Bench binary or harness name (e.g. "fig09_ycsb").
+    /// Figure or harness name (e.g. "fig09").
     pub bench: String,
     /// Engine variant name (e.g. "Falcon", "Inp", "ZenS").
     pub engine: String,

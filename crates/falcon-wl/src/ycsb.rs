@@ -132,6 +132,13 @@ impl YcsbConfig {
     pub fn tuple_size(&self) -> u32 {
         8 + self.fields as u32 * self.field_len
     }
+
+    /// Approximate loaded data volume in bytes (each row plus 64 B of
+    /// slot and index overhead), for device sizing — the YCSB
+    /// counterpart of [`crate::tpcc::TpccScale::approx_bytes`].
+    pub fn approx_bytes(&self) -> u64 {
+        self.records * (u64::from(self.tuple_size()) + 64)
+    }
 }
 
 fn key_fn(_s: &Schema, row: &[u8]) -> u64 {

@@ -825,9 +825,9 @@ fn corrupt(msg: String) -> EngineError {
 }
 
 /// Decode a whole window from NVM (recovery path). Reads bypass the
-/// cache model via `media`-accurate CPU state — after a crash both images
-/// agree, so plain reads through the cost model are used to account the
-/// (small) recovery cost honestly.
+/// cache model via `media`-accurate CPU state — after a crash the image
+/// is the durable state, so plain reads through the cost model are used
+/// to account the (small) recovery cost honestly.
 ///
 /// The window geometry is validated before anything is dereferenced: a
 /// corrupt header (absurd slot count, extent beyond the device) yields

@@ -1,8 +1,8 @@
 //! Raw backing storage for the simulated NVM.
 //!
-//! The device keeps two images: the *CPU* image (what loads observe) and
-//! the *media* image (what survives a crash). Both are arrays of
-//! [`AtomicU64`] words. Every byte-level access is decomposed into
+//! The device keeps one image (what loads observe; a crash keeps it
+//! except where the device's durable overlay says otherwise), an array
+//! of [`AtomicU64`] words. Every byte-level access is decomposed into
 //! relaxed atomic word operations, so concurrent access from many worker
 //! threads is free of undefined behaviour — a torn or stale read across
 //! word boundaries is possible exactly as it is on real hardware, and the
@@ -191,34 +191,12 @@ impl Backing {
         self.word(off).fetch_or(val, Ordering::SeqCst)
     }
 
-    /// Copy one cache line (64 B) from `self` to `dst` at the same offset.
-    /// Used for writebacks (CPU image → media image) and crash recovery
-    /// (media image → CPU image).
-    pub fn copy_line_to(&self, dst: &Backing, line_off: u64) {
-        debug_assert!(line_off.is_multiple_of(crate::CACHE_LINE));
-        self.check_range(line_off, crate::CACHE_LINE);
-        dst.check_range(line_off, crate::CACHE_LINE);
-        let w = (line_off / 8) as usize;
-        let n = (crate::CACHE_LINE / 8) as usize;
-        for (from, to) in self.words[w..w + n].iter().zip(&dst.words[w..w + n]) {
-            to.store(from.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-    }
-
-    /// Copy the whole image from `self` into `dst` (used when an ADR crash
-    /// reverts the CPU image to the media image).
-    pub fn copy_all_to(&self, dst: &Backing) {
-        assert_eq!(self.len, dst.len);
-        for (from, to) in self.words.iter().zip(&dst.words) {
-            to.store(from.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-    }
-
-    /// Snapshot the whole image into a fresh backing (fault-plane shadow
-    /// capture and device forking).
+    /// Snapshot the whole image into a fresh backing (device forking).
     pub fn duplicate(&self) -> Backing {
         let b = Backing::new(self.len);
-        self.copy_all_to(&b);
+        for (from, to) in self.words.iter().zip(&b.words) {
+            to.store(from.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
         b
     }
 
@@ -321,26 +299,11 @@ mod tests {
     }
 
     #[test]
-    fn copy_line() {
-        let a = Backing::new(256);
-        let b = Backing::new(256);
-        a.write_bytes(64, &[7u8; 64]);
-        a.write_bytes(128, &[9u8; 64]);
-        a.copy_line_to(&b, 64);
-        let mut out = [0u8; 64];
-        b.read_bytes(64, &mut out);
-        assert_eq!(out, [7u8; 64]);
-        // Line at 128 not copied.
-        b.read_bytes(128, &mut out);
-        assert_eq!(out, [0u8; 64]);
-    }
-
-    #[test]
-    fn copy_all() {
+    fn duplicate_copies_every_word() {
         let a = Backing::new(100);
-        let b = Backing::new(100);
         a.write_bytes(0, &[1u8; 100]);
-        a.copy_all_to(&b);
+        let b = a.duplicate();
+        assert_eq!(b.len(), 100);
         let mut out = [0u8; 100];
         b.read_bytes(0, &mut out);
         assert_eq!(out, [1u8; 100]);

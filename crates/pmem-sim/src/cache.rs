@@ -22,8 +22,9 @@
 //!   merge them for free, erasing the effect Figure 3 measures.)
 //!
 //! The cache model only tracks *metadata*: actual bytes live in the
-//! [`crate::backing::Backing`] CPU image, and the device copies a line's
-//! bytes to the media image when this model reports a dirty eviction.
+//! device's one [`crate::backing::Backing`] image, and a dirty eviction
+//! this model reports only tells the device that the line's image bytes
+//! have become durable.
 
 use parking_lot::Mutex;
 
@@ -261,9 +262,7 @@ impl CacheSim {
     }
 
     /// Drain every line, invoking `f` with the address of each dirty one,
-    /// and leave the cache empty. Used at simulated crash (eADR flushes
-    /// dirty lines to the persistence domain; ADR drops them — the caller
-    /// decides what `f` does).
+    /// and leave the cache empty. Used at simulated crash and quiesce.
     pub fn drain<F: FnMut(u64)>(&self, mut f: F) {
         for shard in self.shards.iter() {
             let mut shard = shard.lock();

@@ -1,7 +1,11 @@
 //! The simulated NVM device.
 
+use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use crate::backing::Backing;
 use crate::cache::{CacheSim, ClwbResult};
@@ -24,10 +28,13 @@ enum WbReason {
 /// The mutating operation a fault-plan event tick describes; carries
 /// enough to tear the tripping operation at 8-byte granularity.
 enum FaultOp<'a> {
-    /// A multi-byte store of `data` at `addr` (CPU image).
-    Store { addr: u64, data: &'a [u8] },
-    /// Zeroing `len` bytes at `addr`.
-    Zero { addr: u64, len: u64 },
+    /// A store of `len` bytes at `addr`: of `data`, or of zeros when
+    /// `data` is `None`.
+    Store {
+        addr: u64,
+        len: u64,
+        data: Option<&'a [u8]>,
+    },
     /// A cache line (64 B at `line * CACHE_LINE`) reaching the media.
     LineWb { line: u64 },
     /// Any other mutating event (aligned 8-byte atomics, clwb, sfence):
@@ -36,10 +43,9 @@ enum FaultOp<'a> {
 }
 
 /// Mutable fault-plan state, behind the [`FaultState`] mutex.
+#[derive(Default)]
 struct FaultCell {
     plan: Option<FaultPlan>,
-    /// Image captured at the cut point: what the next crash restores.
-    shadow: Option<Backing>,
     /// Words of the tripping op that persisted (torn write).
     torn_words: u64,
     /// Outcome of the last consumed plan.
@@ -54,6 +60,7 @@ struct FaultState {
     cut: AtomicU64,
     /// Mutating events counted since the plan was installed.
     events: AtomicU64,
+    /// Set at the cut: the durable overlay is frozen from then on.
     tripped: AtomicBool,
     cell: Mutex<FaultCell>,
 }
@@ -65,22 +72,28 @@ impl FaultState {
             cut: AtomicU64::new(u64::MAX),
             events: AtomicU64::new(0),
             tripped: AtomicBool::new(false),
-            cell: Mutex::new(FaultCell {
-                plan: None,
-                shadow: None,
-                torn_words: 0,
-                outcome: None,
-            }),
+            cell: Mutex::default(),
         }
     }
 }
 
+/// The bytes of one cache line.
+type Line = [u8; CACHE_LINE as usize];
+
 struct Inner {
     config: SimConfig,
-    /// The CPU image: what loads observe.
-    cpu: Backing,
-    /// The media image: what survives a crash.
-    media: Backing,
+    /// The device image: what loads observe.
+    image: Backing,
+    /// The durable overlay: for each line whose crash-surviving bytes
+    /// differ from the image, the bytes that would survive.
+    ///
+    /// Under eADR it is empty (the cache is in the persistence domain,
+    /// so the image *is* the durable state). Under ADR its keys are the
+    /// dirty lines, each holding its bytes as of its last writeback. A
+    /// fault plan that trips freezes it: writebacks stop removing lines,
+    /// and each line first changed after the cut adds its bytes at the
+    /// cut, so a crash restores exactly the durable state of the cut.
+    durable: Mutex<HashMap<u64, Line>>,
     cache: CacheSim,
     xpbuffer: XpBuffer,
     fault: FaultState,
@@ -107,17 +120,17 @@ impl PmemDevice {
     /// Create a device from a validated configuration.
     pub fn new(config: SimConfig) -> Result<PmemDevice, String> {
         config.validate()?;
-        let (cpu, media) = (Backing::new(config.capacity), Backing::new(config.capacity));
-        Ok(PmemDevice::with_images(config, cpu, media))
+        let image = Backing::new(config.capacity);
+        Ok(PmemDevice::with_image(image, config))
     }
 
-    /// A device over the given images, with a fresh cache, XPBuffer,
-    /// fault plane and recorder.
-    fn with_images(config: SimConfig, cpu: Backing, media: Backing) -> PmemDevice {
+    /// A device over the given image, with an empty overlay and a fresh
+    /// cache, XPBuffer, fault plane and recorder.
+    fn with_image(image: Backing, config: SimConfig) -> PmemDevice {
         PmemDevice {
             inner: Arc::new(Inner {
-                cpu,
-                media,
+                image,
+                durable: Mutex::new(HashMap::new()),
                 cache: CacheSim::new(config.cache_sets(), config.cache_ways, config.shards),
                 xpbuffer: XpBuffer::new(config.xpbuffer_blocks, config.shards),
                 config,
@@ -128,21 +141,22 @@ impl PmemDevice {
         }
     }
 
-    /// Duplicate the device: both images are snapshotted, while the cache
-    /// and XPBuffer models (and any trace or fault plan) start fresh.
+    /// Duplicate a quiesced or crashed device: the image is copied, while
+    /// the cache and XPBuffer models (and any trace or fault plan) start
+    /// fresh — e.g. to re-run recovery from one crash state several
+    /// times.
     ///
-    /// Intended for post-crash images (where CPU and media agree), e.g.
-    /// re-running recovery from the same crash state several times. On a
-    /// device with dirty cached lines the fork treats them as clean, so
-    /// an ADR crash on the fork would revert them — fork quiesced or
-    /// crashed devices if that matters.
+    /// # Panics
+    ///
+    /// Panics if the device has a dirty cached line or a non-empty
+    /// durable overlay: the fork would take those lines as durable.
     pub fn fork(&self) -> PmemDevice {
         let inner = &*self.inner;
-        PmemDevice::with_images(
-            inner.config.clone(),
-            inner.cpu.duplicate(),
-            inner.media.duplicate(),
-        )
+        assert!(
+            inner.cache.dirty_lines() == 0 && inner.durable.lock().is_empty(),
+            "fork of a device with dirty lines: quiesce or crash it first"
+        );
+        PmemDevice::with_image(inner.image.duplicate(), inner.config.clone())
     }
 
     /// The device configuration.
@@ -165,13 +179,12 @@ impl PmemDevice {
     pub fn install_fault_plan(&self, plan: FaultPlan) {
         let f = &self.inner.fault;
         f.enabled.store(false, Ordering::SeqCst);
-        let mut cell = f.cell.lock().unwrap();
+        self.thaw();
+        let mut cell = f.cell.lock();
         f.cut
             .store(plan.cut_at_event.unwrap_or(u64::MAX), Ordering::SeqCst);
         f.events.store(0, Ordering::SeqCst);
-        f.tripped.store(false, Ordering::SeqCst);
         cell.plan = Some(plan);
-        cell.shadow = None;
         cell.torn_words = 0;
         cell.outcome = None;
         drop(cell);
@@ -183,12 +196,25 @@ impl PmemDevice {
     pub fn clear_fault_plan(&self) {
         let f = &self.inner.fault;
         f.enabled.store(false, Ordering::SeqCst);
-        let mut cell = f.cell.lock().unwrap();
-        cell.plan = None;
-        cell.shadow = None;
-        cell.torn_words = 0;
+        self.thaw();
+        f.cell.lock().plan = None;
         f.cut.store(u64::MAX, Ordering::SeqCst);
-        f.tripped.store(false, Ordering::SeqCst);
+    }
+
+    /// Unfreeze the overlay of a plan that tripped without a crash: the
+    /// current state is the durable one again. An ADR line keeps its
+    /// entry while it is dirty; if it was written back after the cut
+    /// and dirtied again, that entry still holds its bytes at the cut,
+    /// not those of the later writeback (which the overlay never saw).
+    fn thaw(&self) {
+        let inner = &*self.inner;
+        if inner.fault.tripped.swap(false, Ordering::SeqCst) {
+            let adr = inner.config.domain == PersistDomain::Adr;
+            inner
+                .durable
+                .lock()
+                .retain(|&line, _| adr && inner.cache.is_dirty(line));
+        }
     }
 
     /// Whether the installed plan has reached its cut point. Everything
@@ -206,13 +232,13 @@ impl PmemDevice {
 
     /// Outcome of the last plan consumed by a crash, if any.
     pub fn fault_outcome(&self) -> Option<FaultOutcome> {
-        self.inner.fault.cell.lock().unwrap().outcome
+        self.inner.fault.cell.lock().outcome
     }
 
-    /// Tick the fault event counter; captures the shadow image when the
-    /// counter reaches the plan's cut point. Called at the *start* of
-    /// every mutating operation, before it mutates anything, so "cut at
-    /// event `i`" means events `0..i` are fully applied and event `i`
+    /// Tick the fault event counter; freezes the durable overlay when
+    /// the counter reaches the plan's cut point. Called at the *start*
+    /// of every mutating operation, before it mutates anything, so "cut
+    /// at event `i`" means events `0..i` are fully applied and event `i`
     /// is dropped (or torn, see [`FaultPlan::tear_writes`]).
     #[inline]
     fn fault_tick(&self, op: FaultOp<'_>) {
@@ -226,24 +252,17 @@ impl PmemDevice {
         }
     }
 
-    /// Capture the crash shadow at event `n` and apply the torn part of
+    /// Freeze the durable overlay at event `n` and apply the torn part of
     /// the tripping operation to it.
     #[cold]
     fn fault_trip(&self, n: u64, op: FaultOp<'_>) {
         let inner = &*self.inner;
-        let mut cell = inner.fault.cell.lock().unwrap();
-        if cell.shadow.is_some() {
+        let mut cell = inner.fault.cell.lock();
+        if inner.fault.tripped.load(Ordering::Acquire) {
             return;
         }
         let Some(plan) = cell.plan.as_ref() else {
             return;
-        };
-        // What would survive a clean crash right now: the CPU image under
-        // eADR (the whole cache is in the persistence domain), the media
-        // image under ADR (only written-back lines survive).
-        let shadow = match inner.config.domain {
-            PersistDomain::Eadr => inner.cpu.duplicate(),
-            PersistDomain::Adr => inner.media.duplicate(),
         };
         let mut torn = 0u64;
         if plan.tear_writes {
@@ -253,36 +272,28 @@ impl PmemDevice {
                 // 8-byte word granularity persisted (partial head/tail
                 // words merge read-modify-write at word granularity, so
                 // individual words never tear).
-                (FaultOp::Store { addr, data }, PersistDomain::Eadr) => {
-                    let len = data.len() as u64;
+                (FaultOp::Store { addr, len, data }, PersistDomain::Eadr) => {
                     let words = (addr + len - 1) / 8 - addr / 8 + 1;
                     let k = r % words; // at least the last word is lost
                     let prefix = len.min(((addr / 8 + k) * 8).saturating_sub(addr));
-                    if prefix > 0 {
-                        shadow.write_bytes(addr, &data[..prefix as usize]);
-                    }
-                    torn = k;
-                }
-                (FaultOp::Zero { addr, len }, PersistDomain::Eadr) => {
-                    let words = (addr + len - 1) / 8 - addr / 8 + 1;
-                    let k = r % words;
-                    let prefix = len.min(((addr / 8 + k) * 8).saturating_sub(addr));
-                    if prefix > 0 {
-                        shadow.zero(addr, prefix);
-                    }
+                    self.capture_into(&mut inner.durable.lock(), addr, prefix);
+                    self.each_entry(addr, prefix, |bytes, from| match data {
+                        Some(data) => bytes.copy_from_slice(&data[from]),
+                        None => bytes.fill(0),
+                    });
                     torn = k;
                 }
                 // A line writeback cut mid-transfer under ADR: the line
                 // crosses the bus in 8-byte units in unspecified order —
                 // a seeded *subset* of its 8 words reached the media.
                 (FaultOp::LineWb { line }, PersistDomain::Adr) => {
-                    let mask = (r & 0xff) as u8;
-                    for w in 0..8u64 {
-                        if mask & (1 << w) != 0 {
-                            let off = line * CACHE_LINE + w * 8;
-                            shadow.store_u64(off, inner.cpu.load_u64(off));
-                            torn += 1;
-                        }
+                    let mut now = [0u8; CACHE_LINE as usize];
+                    inner.image.read_bytes(line * CACHE_LINE, &mut now);
+                    let mut lines = inner.durable.lock();
+                    let bytes = lines.entry(line).or_insert(now);
+                    for w in (0..8).filter(|w| r & (1 << w) != 0) {
+                        bytes[w * 8..w * 8 + 8].copy_from_slice(&now[w * 8..w * 8 + 8]);
+                        torn += 1;
                     }
                 }
                 // Aligned 8-byte atomics never tear; a store trip under
@@ -292,51 +303,55 @@ impl PmemDevice {
             }
         }
         cell.torn_words = torn;
-        cell.shadow = Some(shadow);
         inner.fault.tripped.store(true, Ordering::Release);
     }
 
-    /// Apply the faulty-crash semantics: restore the shadow (if the plan
-    /// tripped), apply bit-rot, record the outcome, consume the plan.
-    fn crash_with_faults(&self) {
+    /// Whether mutating operations capture the lines they change: the
+    /// domain is ADR, or a cut froze the durable state. (Under eADR the
+    /// image is the durable state until a cut.)
+    #[inline]
+    fn capturing(&self) -> bool {
         let inner = &*self.inner;
-        inner.fault.enabled.store(false, Ordering::SeqCst);
-        let events = inner.fault.events.load(Ordering::SeqCst);
-        let mut cell = inner.fault.cell.lock().unwrap();
-        let tripped_at = cell
-            .shadow
-            .is_some()
-            .then(|| inner.fault.cut.load(Ordering::SeqCst));
-        if let Some(shadow) = cell.shadow.take() {
-            // Power was lost at the cut point: both images become the
-            // shadow; cache and XPBuffer contents evaporate.
-            shadow.copy_all_to(&inner.media);
-            shadow.copy_all_to(&inner.cpu);
-            inner.cache.drain(|_| {});
-            let _ = inner.xpbuffer.drain();
-        } else {
-            // The workload finished before the cut: a clean crash.
-            self.crash_clean();
+        (inner.config.domain == PersistDomain::Adr) | inner.fault.tripped.load(Ordering::Relaxed)
+    }
+
+    /// Before a mutating operation changes `[addr, addr + len)`: if
+    /// [`Self::capturing`], capture its lines (see [`Self::capture_into`]).
+    #[inline]
+    fn capture(&self, addr: u64, len: u64) {
+        if self.capturing() {
+            self.capture_into(&mut self.inner.durable.lock(), addr, len);
         }
-        let mut flips = 0u64;
-        if let Some(plan) = cell.plan.take() {
-            for f in &plan.bit_flips {
-                if f.addr < inner.config.capacity {
-                    inner.media.flip_bit(f.addr, f.bit);
-                    inner.cpu.flip_bit(f.addr, f.bit);
-                    flips += 1;
-                }
+    }
+
+    /// Put each line of `[addr, addr + len)` not yet in the overlay
+    /// `lines` there with its current image bytes. Returns whether a
+    /// line was added.
+    fn capture_into(&self, lines: &mut HashMap<u64, Line>, addr: u64, len: u64) -> bool {
+        let before = lines.len();
+        for line in addr / CACHE_LINE..(addr + len).div_ceil(CACHE_LINE) {
+            lines.entry(line).or_insert_with(|| {
+                let mut bytes = [0u8; CACHE_LINE as usize];
+                self.inner.image.read_bytes(line * CACHE_LINE, &mut bytes);
+                bytes
+            });
+        }
+        lines.len() > before
+    }
+
+    /// Run `f` on the part of each overlay line inside `[addr, addr +
+    /// len)`, with the matching range of the span.
+    fn each_entry(&self, addr: u64, len: u64, mut f: impl FnMut(&mut [u8], Range<usize>)) {
+        let mut lines = self.inner.durable.lock();
+        let end = addr + len;
+        for line in addr / CACHE_LINE..end.div_ceil(CACHE_LINE) {
+            if let Some(bytes) = lines.get_mut(&line) {
+                let base = line * CACHE_LINE;
+                let (lo, hi) = (base.max(addr), (base + CACHE_LINE).min(end));
+                let at = (lo - base) as usize..(hi - base) as usize;
+                f(&mut bytes[at], (lo - addr) as usize..(hi - addr) as usize);
             }
         }
-        cell.outcome = Some(FaultOutcome {
-            tripped_at,
-            events,
-            torn_words: cell.torn_words,
-            bit_flips_applied: flips,
-        });
-        cell.torn_words = 0;
-        inner.fault.cut.store(u64::MAX, Ordering::SeqCst);
-        inner.fault.tripped.store(false, Ordering::SeqCst);
     }
 
     // ------------------------------------------------------------------
@@ -397,21 +412,25 @@ impl PmemDevice {
         ctx.advance(cost.cache_hit * hits);
     }
 
-    /// A dirty line leaves the cache: copy its bytes to the media image
-    /// (it has reached the persistence domain) and run the XPBuffer model.
+    /// A dirty line leaves the cache: it has reached the persistence
+    /// domain, so its image bytes are durable now (unless a cut froze the
+    /// durable state); run the XPBuffer model.
     fn writeback_line(&self, line_addr: u64, reason: WbReason, ctx: &mut MemCtx) {
         let inner = &*self.inner;
         let cost = &inner.config.cost;
         self.fault_tick(FaultOp::LineWb { line: line_addr });
-        inner.cpu.copy_line_to(&inner.media, line_addr * CACHE_LINE);
-        if reason == WbReason::Evict {
-            self.t_emit(Event::Evict {
-                thread: ctx.thread_id,
-                line: line_addr,
-            });
+        if inner.config.domain == PersistDomain::Adr && !self.fault_tripped() {
+            inner.durable.lock().remove(&line_addr);
         }
         match reason {
-            WbReason::Evict => ctx.stats.evictions += 1,
+            WbReason::Evict => {
+                let thread = ctx.thread_id;
+                self.t_emit(Event::Evict {
+                    thread,
+                    line: line_addr,
+                });
+                ctx.stats.evictions += 1;
+            }
             WbReason::Clwb => ctx.stats.clwb_writebacks += 1,
         }
         ctx.advance(cost.wb_insert);
@@ -444,7 +463,7 @@ impl PmemDevice {
             return;
         }
         self.touch(addr, buf.len() as u64, false, ctx);
-        self.inner.cpu.read_bytes(addr.0, buf);
+        self.inner.image.read_bytes(addr.0, buf);
         if self.trace_racing() {
             self.t_emit(Event::Load {
                 thread: ctx.thread_id,
@@ -460,32 +479,30 @@ impl PmemDevice {
     ///
     /// Panics if the range is out of bounds.
     pub fn write(&self, addr: PAddr, data: &[u8], ctx: &mut MemCtx) {
-        if data.is_empty() {
-            return;
-        }
-        self.fault_tick(FaultOp::Store { addr: addr.0, data });
-        self.inner.cpu.write_bytes(addr.0, data);
-        self.t_emit(Event::Store {
-            thread: ctx.thread_id,
-            addr: addr.0,
-            len: data.len() as u64,
-        });
-        self.touch(addr, data.len() as u64, true, ctx);
+        self.store_bytes(addr.0, data.len() as u64, Some(data), ctx);
     }
 
     /// Zero `len` bytes at `addr`.
     pub fn zero(&self, addr: PAddr, len: u64, ctx: &mut MemCtx) {
+        self.store_bytes(addr.0, len, None, ctx);
+    }
+
+    /// The one body of [`Self::write`] and [`Self::zero`]: store `len`
+    /// bytes of `data` (zeros if `None`) at `addr`.
+    #[inline]
+    fn store_bytes(&self, addr: u64, len: u64, data: Option<&[u8]>, ctx: &mut MemCtx) {
         if len == 0 {
             return;
         }
-        self.fault_tick(FaultOp::Zero { addr: addr.0, len });
-        self.inner.cpu.zero(addr.0, len);
-        self.t_emit(Event::Store {
-            thread: ctx.thread_id,
-            addr: addr.0,
-            len,
-        });
-        self.touch(addr, len, true, ctx);
+        self.fault_tick(FaultOp::Store { addr, len, data });
+        self.capture(addr, len);
+        match data {
+            Some(data) => self.inner.image.write_bytes(addr, data),
+            None => self.inner.image.zero(addr, len),
+        }
+        let thread = ctx.thread_id;
+        self.t_emit(Event::Store { thread, addr, len });
+        self.touch(PAddr(addr), len, true, ctx);
     }
 
     /// Atomic 64-bit load (acquire).
@@ -520,10 +537,16 @@ impl PmemDevice {
     /// Atomic compare-exchange (SeqCst); `Ok(previous)` on success.
     pub fn cas_u64(&self, addr: PAddr, old: u64, new: u64, ctx: &mut MemCtx) -> Result<u64, u64> {
         self.fault_tick(FaultOp::Other);
+        // While capturing, the overlay stays locked across the CAS, so a
+        // failed one drops its own capture and never a concurrent store's.
+        let mut lines = self.capturing().then(|| self.inner.durable.lock());
+        let captured = lines
+            .as_mut()
+            .is_some_and(|l| self.capture_into(l, addr.0, 8));
         ctx.advance(self.inner.config.cost.atomic_rmw);
         let thread = ctx.thread_id;
         let r = self.traced_atomic(
-            || self.inner.cpu.cas_u64(addr.0, old, new),
+            || self.inner.image.cas_u64(addr.0, old, new),
             |r| r.is_ok().then_some(word_store(thread, addr)),
             // A failed CAS performs no store: trace it as the atomic load
             // it is so the analyzer doesn't see a phantom write.
@@ -536,23 +559,27 @@ impl PmemDevice {
                 word_atomic(thread, addr, kind)
             },
         );
+        if let Some(mut lines) = lines.filter(|_| captured && r.is_err()) {
+            // A failed CAS stores nothing: its line stays clean.
+            lines.remove(&addr.line());
+        }
         self.touch(addr, 8, r.is_ok(), ctx);
         r
     }
 
     /// Atomic fetch-add (SeqCst).
     pub fn fetch_add_u64(&self, addr: PAddr, val: u64, ctx: &mut MemCtx) -> u64 {
-        self.fetch_word(addr, ctx, || self.inner.cpu.fetch_add_u64(addr.0, val))
+        self.fetch_word(addr, ctx, || self.inner.image.fetch_add_u64(addr.0, val))
     }
 
     /// Atomic fetch-and (SeqCst).
     pub fn fetch_and_u64(&self, addr: PAddr, val: u64, ctx: &mut MemCtx) -> u64 {
-        self.fetch_word(addr, ctx, || self.inner.cpu.fetch_and_u64(addr.0, val))
+        self.fetch_word(addr, ctx, || self.inner.image.fetch_and_u64(addr.0, val))
     }
 
     /// Atomic fetch-or (SeqCst).
     pub fn fetch_or_u64(&self, addr: PAddr, val: u64, ctx: &mut MemCtx) -> u64 {
-        self.fetch_word(addr, ctx, || self.inner.cpu.fetch_or_u64(addr.0, val))
+        self.fetch_word(addr, ctx, || self.inner.image.fetch_or_u64(addr.0, val))
     }
 
     /// The one body of both atomic loads: traced only in race mode.
@@ -560,7 +587,7 @@ impl PmemDevice {
     fn load_word(&self, addr: PAddr, order: MemOrder, ctx: &mut MemCtx) -> u64 {
         self.touch(addr, 8, false, ctx);
         self.traced_atomic(
-            || self.inner.cpu.load_u64(addr.0),
+            || self.inner.image.load_u64(addr.0),
             |_| None,
             |_| Event::AtomicOp {
                 thread: ctx.thread_id,
@@ -575,9 +602,10 @@ impl PmemDevice {
     #[inline]
     fn store_word(&self, addr: PAddr, val: u64, order: MemOrder, ctx: &mut MemCtx) {
         self.fault_tick(FaultOp::Other);
+        self.capture(addr.0, 8);
         let thread = ctx.thread_id;
         self.traced_atomic(
-            || self.inner.cpu.store_u64(addr.0, val),
+            || self.inner.image.store_u64(addr.0, val),
             |()| Some(word_store(thread, addr)),
             |()| Event::AtomicOp {
                 thread,
@@ -590,10 +618,11 @@ impl PmemDevice {
     }
 
     /// The one body of the SeqCst fetch-and-modify atomics; `op` is the
-    /// memory effect on the CPU image.
+    /// memory effect on the image.
     #[inline]
     fn fetch_word(&self, addr: PAddr, ctx: &mut MemCtx, op: impl FnOnce() -> u64) -> u64 {
         self.fault_tick(FaultOp::Other);
+        self.capture(addr.0, 8);
         ctx.advance(self.inner.config.cost.atomic_rmw);
         let thread = ctx.thread_id;
         let r = self.traced_atomic(
@@ -688,11 +717,11 @@ impl PmemDevice {
     /// Simulate a power failure and return control as the post-reboot
     /// device.
     ///
-    /// In eADR mode every dirty cache line is flushed to the media (the
-    /// persistence domain includes the cache); in ADR mode dirty lines
-    /// are *lost* and the CPU image reverts to the media image. The cache
-    /// and XPBuffer models are cleared either way (XPBuffer contents are
-    /// already on the media: bytes are copied at writeback time).
+    /// The cache and XPBuffer contents evaporate, and every line whose
+    /// durable bytes differ from the image reverts to them: under eADR
+    /// (the cache is in the persistence domain) the image is already the
+    /// durable state, so nothing moves; under ADR dirty lines are *lost*
+    /// and revert to their bytes as of their last writeback.
     ///
     /// # Concurrency
     ///
@@ -702,41 +731,40 @@ impl PmemDevice {
     /// # Fault plans
     ///
     /// With a [`FaultPlan`] installed the crash is adversarial instead:
-    /// if the plan tripped, both images are restored from the shadow
-    /// captured at the cut point (plus any torn words); either way the
+    /// if the plan tripped, the device reverts to the durable state
+    /// frozen at the cut point (plus any torn words); either way the
     /// plan's bit flips are applied and the plan is consumed — see
     /// [`PmemDevice::fault_outcome`].
     pub fn crash(&self) {
         self.t_emit(Event::CrashMark);
-        if self.inner.fault.enabled.load(Ordering::SeqCst) {
-            self.crash_with_faults();
-        } else {
-            self.crash_clean();
-        }
-    }
-
-    /// The clean-crash semantics (no fault plan).
-    fn crash_clean(&self) {
         let inner = &*self.inner;
-        match inner.config.domain {
-            PersistDomain::Eadr => {
-                inner.cache.drain(|line| {
-                    inner.cpu.copy_line_to(&inner.media, line * CACHE_LINE);
-                });
-            }
-            PersistDomain::Adr => {
-                inner.cache.drain(|_| {});
-                // Dirty lines are lost: the CPU view reverts to the media.
-                inner.media.copy_all_to(&inner.cpu);
-            }
-        }
+        let f = &inner.fault;
+        let armed = f.enabled.swap(false, Ordering::SeqCst);
+        inner.cache.drain(|_| {});
         let _ = inner.xpbuffer.drain();
-        if inner.config.domain == PersistDomain::Eadr {
-            // After an eADR crash the CPU image and media agree for all
-            // flushed lines; evicted-and-rewritten lines were already
-            // copied. Make the relationship exact for recovery readers.
-            inner.cpu.copy_all_to(&inner.media);
+        for (line, bytes) in inner.durable.lock().drain() {
+            inner.image.write_bytes(line * CACHE_LINE, &bytes);
         }
+        if !armed {
+            return;
+        }
+        let mut cell = f.cell.lock();
+        let cut = f.cut.swap(u64::MAX, Ordering::SeqCst);
+        let tripped_at = f.tripped.swap(false, Ordering::SeqCst).then_some(cut);
+        let mut flips = 0u64;
+        let plan = cell.plan.take();
+        for flip in plan.iter().flat_map(|p| &p.bit_flips) {
+            if flip.addr < inner.config.capacity {
+                inner.image.flip_bit(flip.addr, flip.bit);
+                flips += 1;
+            }
+        }
+        cell.outcome = Some(FaultOutcome {
+            tripped_at,
+            events: f.events.load(Ordering::SeqCst),
+            torn_words: cell.torn_words,
+            bit_flips_applied: flips,
+        });
     }
 
     /// Flush every dirty line to the media and empty the cache and
@@ -751,38 +779,44 @@ impl PmemDevice {
     pub fn quiesce(&self) {
         let inner = &*self.inner;
         self.t_emit(Event::DrainXpb);
-        inner.cache.drain(|line| {
-            inner.cpu.copy_line_to(&inner.media, line * CACHE_LINE);
-        });
+        inner.cache.drain(|_| {});
         let _ = inner.xpbuffer.drain();
+        if !self.fault_tripped() {
+            inner.durable.lock().clear();
+        }
     }
 
-    /// Read bytes from the *media* image, bypassing the cache model (no
-    /// cost). Intended for tests and post-crash verification.
+    /// Read the bytes a crash would keep — the image under the durable
+    /// overlay — bypassing the cache model (no cost). Intended for tests
+    /// and post-crash verification.
     pub fn media_read(&self, addr: PAddr, buf: &mut [u8]) {
-        self.inner.media.read_bytes(addr.0, buf);
+        self.inner.image.read_bytes(addr.0, buf);
+        self.each_entry(addr.0, buf.len() as u64, |bytes, to| {
+            buf[to].copy_from_slice(bytes);
+        });
     }
 
-    /// Write bytes directly to the *media* image, bypassing the cache
-    /// model and the CPU image. Intended for tests that corrupt durable
-    /// state in place (bit-rot beyond what a [`FaultPlan`] flips).
-    pub fn media_write(&self, addr: PAddr, data: &[u8]) {
-        self.inner.media.write_bytes(addr.0, data);
-    }
-
-    /// Read bytes from the CPU image without running the cache model.
+    /// Read bytes from the image without running the cache model.
     /// Intended for loaders and diagnostics where cost accounting is
     /// explicitly not wanted.
     pub fn raw_read(&self, addr: PAddr, buf: &mut [u8]) {
-        self.inner.cpu.read_bytes(addr.0, buf);
+        self.inner.image.read_bytes(addr.0, buf);
     }
 
-    /// Write bytes to both images without running the cache model: bulk
-    /// data loading (the paper's table-initialization phase is not part
-    /// of any measurement).
+    /// Write bytes without running the cache model, durable at once
+    /// unless a fault plan has tripped (then the crash discards them like
+    /// every write after the cut): bulk data loading (the paper's
+    /// table-initialization phase is not part of any measurement).
     pub fn raw_write(&self, addr: PAddr, data: &[u8]) {
-        self.inner.cpu.write_bytes(addr.0, data);
-        self.inner.media.write_bytes(addr.0, data);
+        let len = data.len() as u64;
+        if self.fault_tripped() {
+            self.capture_into(&mut self.inner.durable.lock(), addr.0, len);
+        } else if self.capturing() {
+            self.each_entry(addr.0, len, |bytes, from| {
+                bytes.copy_from_slice(&data[from]);
+            });
+        }
+        self.inner.image.write_bytes(addr.0, data);
     }
 
     /// Number of dirty lines currently in the simulated cache
@@ -1045,6 +1079,40 @@ mod tests {
         let mut buf = [0u8; 8];
         d.media_read(PAddr(0), &mut buf);
         assert_eq!(&buf, b"flushed!");
+    }
+
+    #[test]
+    fn adr_overlay_holds_exactly_the_dirty_lines() {
+        // Two one-way sets: stores evict each other's lines, clwbs clean
+        // them, and a failed CAS stores nothing.
+        let mut cfg = SimConfig::small()
+            .with_cache(2 * CACHE_LINE)
+            .with_domain(PersistDomain::Adr);
+        cfg.cache_ways = 1;
+        let d = PmemDevice::new(cfg).unwrap();
+        let mut ctx = MemCtx::new(0);
+        for i in 0..40u64 {
+            let a = PAddr(i * 7 % 5 * CACHE_LINE);
+            match i % 5 {
+                0 => d.write(a, &[i as u8; 100], &mut ctx),
+                1 => d.store_u64(a, i, &mut ctx),
+                2 => assert!(d.cas_u64(a, u64::MAX, i, &mut ctx).is_err()),
+                3 => d.clwb(a, &mut ctx),
+                _ => d.zero(a, 8, &mut ctx),
+            }
+            let lines = d.inner.durable.lock();
+            assert_eq!(lines.len(), d.dirty_lines(), "op {i}");
+            assert!(lines.keys().all(|&l| d.inner.cache.is_dirty(l)), "op {i}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fork of a device with dirty lines")]
+    fn fork_of_a_dirty_device_panics() {
+        let d = dev(PersistDomain::Eadr);
+        let mut ctx = MemCtx::new(0);
+        d.write(PAddr(0), &[1u8; 8], &mut ctx);
+        let _ = d.fork();
     }
 
     #[test]

@@ -6,15 +6,17 @@
 //! * **Cut anywhere.** Every mutating device operation (store, zero,
 //!   atomic RMW, `clwb`, `sfence`, cache-line writeback) ticks a global
 //!   event counter while a plan is installed. When the counter reaches
-//!   `cut_at_event` the device captures a *shadow* of the
-//!   would-survive-a-crash image — the CPU image under eADR, the media
-//!   image under ADR — **before** the tripping operation mutates
-//!   anything. Execution then continues normally (the workload does not
-//!   observe the cut), but the subsequent `crash()` restores the shadow,
-//!   so everything after the cut point vanishes exactly as if power had
-//!   been lost mid-operation.
+//!   `cut_at_event` the device freezes its *durable overlay* (the lines
+//!   whose crash-surviving bytes differ from the image) **before** the
+//!   tripping operation mutates anything: from then on every line an
+//!   operation changes first keeps its bytes at the cut there, and
+//!   writebacks no longer make lines durable. Execution continues
+//!   normally (the workload does not observe the cut), but the
+//!   subsequent `crash()` reverts every overlay line, so everything after
+//!   the cut point vanishes exactly as if power had been lost
+//!   mid-operation.
 //! * **Torn writes.** If `tear_writes` is set, the tripping operation is
-//!   applied *partially* to the shadow at 8-byte atomicity granularity: a
+//!   applied *partially* to the overlay at 8-byte atomicity granularity: a
 //!   multi-word store under eADR persists a seeded word-prefix; a
 //!   cache-line writeback under ADR persists a seeded word-subset of the
 //!   line. Single 8-byte aligned stores never tear (word atomicity).
@@ -26,7 +28,8 @@
 //! plan — the chaos driver prints exactly that tuple.
 //!
 //! When no plan is installed the only overhead on the hot path is one
-//! relaxed atomic load per mutating operation.
+//! relaxed atomic load per mutating operation, plus one for the
+//! overlay's capture test (whether the plan has tripped).
 
 /// One media bit to flip when the faulty crash is applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

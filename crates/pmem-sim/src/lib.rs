@@ -8,9 +8,10 @@
 //! provides a software model of the pieces whose behaviour the paper's
 //! designs exploit:
 //!
-//! * a byte-addressable device ([`PmemDevice`]) with separate *CPU* and
-//!   *media* images, so that a simulated crash exposes exactly the bytes
-//!   that reached the persistence domain;
+//! * a byte-addressable device ([`PmemDevice`]) with one image plus a
+//!   durable overlay of the lines whose crash-surviving bytes differ from
+//!   it, so that a simulated crash exposes exactly the bytes that reached
+//!   the persistence domain;
 //! * a set-associative write-back cache model ([`cache`]) whose dirty-line
 //!   evictions are the only implicit path from CPU to media;
 //! * an XPBuffer-style write-combining buffer ([`xpbuffer`]) that merges

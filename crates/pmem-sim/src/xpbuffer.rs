@@ -9,9 +9,9 @@
 //! `clwb` remains useful on eADR platforms (§3.3).
 //!
 //! The model is a sharded LRU of block entries with per-line dirty masks.
-//! It accounts cost only: actual bytes are copied CPU→media at writeback
-//! time by the device (the buffer is inside the persistence domain on
-//! real hardware, so bytes handed to it are already durable).
+//! It accounts cost only: a line's bytes are durable from its writeback
+//! on (the buffer is inside the persistence domain on real hardware, so
+//! bytes handed to it are already durable).
 
 use parking_lot::Mutex;
 
@@ -135,8 +135,8 @@ impl XpBuffer {
     }
 
     /// Drain all entries, returning the final block writes. Called on
-    /// simulated crash/quiesce; by then bytes are already on the media,
-    /// so this only finalizes statistics.
+    /// simulated crash/quiesce; by then bytes are already durable, so
+    /// this only finalizes statistics.
     pub fn drain(&self) -> Vec<BlockWrite> {
         let mut out = Vec::new();
         for shard in self.shards.iter() {

@@ -56,7 +56,7 @@ fn cut_before_first_event_loses_everything_eadr() {
     d.media_read(PAddr(0), &mut buf);
     assert_eq!(buf, [0u8; 64], "nothing before event 0 was durable");
     d.raw_read(PAddr(0), &mut buf);
-    assert_eq!(buf, [0u8; 64], "CPU image restored from shadow too");
+    assert_eq!(buf, [0u8; 64], "the rebooted image agrees");
 }
 
 #[test]
@@ -290,15 +290,83 @@ fn clear_fault_plan_restores_clean_crash() {
 }
 
 #[test]
-fn media_write_bypasses_cpu_image() {
+fn adr_line_dirty_at_the_cut_is_lost_despite_a_later_flush() {
     let d = dev(PersistDomain::Adr);
-    d.media_write(PAddr(0), &[0xeeu8; 8]);
-    let mut buf = [0u8; 8];
+    let mut ctx = MemCtx::new(0);
+    d.install_fault_plan(FaultPlan {
+        seed: 2,
+        cut_at_event: Some(1),
+        tear_writes: false,
+        bit_flips: vec![],
+    });
+    d.write(PAddr(0), &[0x33u8; 64], &mut ctx); // event 0: dirty, volatile
+    d.sfence(&mut ctx); // event 1: the cut
+    assert!(d.fault_tripped());
+    d.clwb(PAddr(0), &mut ctx);
+    d.sfence(&mut ctx);
+    d.crash();
+    let mut buf = [0u8; 64];
     d.media_read(PAddr(0), &mut buf);
-    assert_eq!(buf, [0xeeu8; 8]);
+    assert_eq!(buf, [0u8; 64], "written back only after the cut: lost");
     d.raw_read(PAddr(0), &mut buf);
-    assert_eq!(buf, [0u8; 8], "CPU image untouched until crash");
-    d.crash(); // ADR: CPU reverts to media
-    d.raw_read(PAddr(0), &mut buf);
-    assert_eq!(buf, [0xeeu8; 8]);
+    assert_eq!(buf, [0u8; 64]);
+}
+
+#[test]
+fn line_written_back_before_the_cut_keeps_its_pre_cut_bytes() {
+    for domain in [PersistDomain::Adr, PersistDomain::Eadr] {
+        let d = dev(domain);
+        let mut ctx = MemCtx::new(0);
+        // Events: 0 write, 1 clwb, 2 writeback, 3 sfence, 4 rewrite (cut).
+        d.install_fault_plan(FaultPlan {
+            seed: 4,
+            cut_at_event: Some(4),
+            tear_writes: false,
+            bit_flips: vec![],
+        });
+        d.write(PAddr(64), &[0x44u8; 64], &mut ctx);
+        d.clwb(PAddr(64), &mut ctx);
+        d.sfence(&mut ctx);
+        d.write(PAddr(64), &[0x55u8; 64], &mut ctx);
+        assert!(d.fault_tripped());
+        d.clwb(PAddr(64), &mut ctx);
+        d.sfence(&mut ctx);
+        d.crash();
+        let mut buf = [0u8; 64];
+        d.media_read(PAddr(64), &mut buf);
+        assert_eq!(
+            buf, [0x44u8; 64],
+            "{domain:?}: the bytes durable at the cut"
+        );
+        d.raw_read(PAddr(64), &mut buf);
+        assert_eq!(buf, [0x44u8; 64], "{domain:?}: the image after reboot");
+    }
+}
+
+#[test]
+fn raw_write_after_the_cut_is_lost_and_before_it_survives() {
+    for domain in [PersistDomain::Adr, PersistDomain::Eadr] {
+        let d = dev(domain);
+        let mut ctx = MemCtx::new(0);
+        d.install_fault_plan(FaultPlan {
+            seed: 5,
+            cut_at_event: Some(1),
+            tear_writes: false,
+            bit_flips: vec![],
+        });
+        d.raw_write(PAddr(0), &[0x66u8; 8]); // not an event: durable at once
+        d.write(PAddr(128), &[0x77u8; 8], &mut ctx); // event 0
+        d.sfence(&mut ctx); // event 1: the cut
+        assert!(d.fault_tripped());
+        d.raw_write(PAddr(8), &[0x88u8; 8]); // after the cut
+        d.crash();
+        let mut buf = [0u8; 16];
+        d.media_read(PAddr(0), &mut buf);
+        assert_eq!(
+            buf[..8],
+            [0x66u8; 8],
+            "{domain:?}: raw write before the cut"
+        );
+        assert_eq!(buf[8..], [0u8; 8], "{domain:?}: raw write after the cut");
+    }
 }

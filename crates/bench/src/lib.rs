@@ -16,7 +16,7 @@ pub mod perf;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use falcon_core::{recover, CcAlgo, EngineConfig, RecoveryReport, TableDef};
+use falcon_core::{recover, CcAlgo, Engine, EngineConfig, RecoveryReport, TableDef};
 use falcon_obs::report::{RecoveryCounts, ReportMeta, RunReport};
 use falcon_wl::harness::{build_engine, run, RunConfig, RunResult, Workload};
 use falcon_wl::tpcc::{Tpcc, TpccScale};
@@ -94,8 +94,10 @@ impl Run {
         }
     }
 
-    /// Build, load and run; with `crash`, also cut power and recover.
-    pub fn exec(&self) -> (RunResult, Option<RecoveryReport>) {
+    /// Build the device and engine and load the workload; returns the
+    /// loaded engine, the workload that drives it and its table
+    /// definitions.
+    pub fn load(&self) -> (Engine, Box<dyn Workload>, Vec<TableDef>) {
         let (workload, defs): (Box<dyn Workload>, Vec<TableDef>) = match &self.wl {
             Wl::Tpcc(s) => {
                 let t = Tpcc::new(s.clone());
@@ -115,6 +117,12 @@ impl Run {
             Some(self.sim.clone()),
         );
         workload.setup(&engine);
+        (engine, workload, defs)
+    }
+
+    /// Build, load and run; with `crash`, also cut power and recover.
+    pub fn exec(&self) -> (RunResult, Option<RecoveryReport>) {
+        let (engine, workload, defs) = self.load();
         let r = run(&engine, workload.as_ref(), &self.rc);
         if !self.crash {
             return (r, None);

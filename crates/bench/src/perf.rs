@@ -18,7 +18,11 @@
 //! Every metric under a suite's `"virtual"` map is derived from the
 //! simulator's virtual clock and device counters and is bit-exact
 //! across reruns of the same tree. Host time is `benchmark/`'s business
-//! and is not recorded here.
+//! and is not recorded here. Beside the map, each suite reports
+//! `resident_bytes`: the host memory its device image held at the end
+//! (the touched chunks, see `PmemDevice::resident_bytes`). It is
+//! deterministic too, but informational: [`compare`] reads only the
+//! `"virtual"` maps.
 
 use std::fmt::Write as _;
 
@@ -132,27 +136,40 @@ struct Suite {
     cost: Option<CostMatrix>,
 }
 
-/// A workload suite: `wl` on the Falcon engine under OCC.
-fn workload_suite(name: &'static str, wl: Wl, rc: RunConfig) -> Suite {
-    let (r, _) = Run::new(EngineConfig::falcon(), CcAlgo::Occ, wl, rc).exec();
+/// `wl` on the Falcon engine under OCC.
+fn falcon_run(wl: Wl, rc: RunConfig) -> Run {
+    Run::new(EngineConfig::falcon(), CcAlgo::Occ, wl, rc)
+}
+
+/// A workload suite: `spec` loaded and run.
+fn workload_suite(name: &'static str, spec: Run) -> Suite {
+    let (engine, workload, _) = spec.load();
+    let r = run(&engine, workload.as_ref(), &spec.rc);
     eprintln!(
         "[falcon-perf] {name:<10} {:>10.3} ktxn/s (virtual)",
         r.txn_per_sec / 1e3
     );
     Suite {
         name,
-        block: json!({ "virtual": run_metrics(&r) }),
+        block: json!({
+            "virtual": run_metrics(&r),
+            "resident_bytes": engine.device().resident_bytes(),
+        }),
         cost: r.obs.cost.clone(),
     }
 }
 
 fn ycsb_suite(name: &'static str, wl: YcsbWorkload) -> Suite {
     let ycsb = YcsbConfig::new(wl, Dist::Zipfian).with_records(YCSB_RECORDS);
-    workload_suite(name, Wl::Ycsb(ycsb), suite_rc(2_000, 200))
+    workload_suite(name, falcon_run(Wl::Ycsb(ycsb), suite_rc(2_000, 200)))
+}
+
+fn tpcc_run() -> Run {
+    falcon_run(Wl::tpcc(2), suite_rc(1_000, 100))
 }
 
 fn tpcc_suite() -> Suite {
-    workload_suite("tpcc", Wl::tpcc(2), suite_rc(1_000, 100))
+    workload_suite("tpcc", tpcc_run())
 }
 
 /// Crash-recovery leg: load YCSB, run briefly, crash the device, and
@@ -168,7 +185,7 @@ fn recovery_suite() -> Suite {
     drop(engine);
     dev.crash();
     let defs = [y.table_def()];
-    let (_e2, rep) = recover(dev, cfg, &defs).expect("recovery");
+    let (e2, rep) = recover(dev, cfg, &defs).expect("recovery");
     eprintln!(
         "[falcon-perf] {:<10} {:>10.3} ms recovery (virtual)",
         "recovery",
@@ -186,6 +203,7 @@ fn recovery_suite() -> Suite {
                 "uncommitted_discarded": Value::from(rep.uncommitted_discarded as u64),
                 "tuples_scanned": Value::from(rep.tuples_scanned),
             }),
+            "resident_bytes": e2.device().resident_bytes(),
         }),
         cost: None,
     }
@@ -220,7 +238,7 @@ fn ckpt_suite() -> Suite {
     drop(engine);
     dev.crash();
     let defs = [y.table_def()];
-    let (_e2, rep) = recover(dev, cfg, &defs).expect("recovery");
+    let (e2, rep) = recover(dev, cfg, &defs).expect("recovery");
     eprintln!(
         "[falcon-perf] {:<10} {:>10.3} ms replay, {} B spill truncated (virtual)",
         "ckpt",
@@ -240,6 +258,7 @@ fn ckpt_suite() -> Suite {
                 "backpressure_stalls": Value::from(stalls),
                 "committed_replayed": Value::from(rep.committed_replayed as u64),
             }),
+            "resident_bytes": e2.device().resident_bytes(),
         }),
         cost: None,
     }
@@ -310,6 +329,7 @@ fn server_suite() -> Suite {
         name: "server",
         block: json!({
             "virtual": server_metrics(&rep),
+            "resident_bytes": rep.resident_bytes,
         }),
         cost: None,
     }
@@ -349,6 +369,7 @@ fn server_overload_suite() -> Suite {
         name: "server_overload",
         block: json!({
             "virtual": server_metrics(&rep),
+            "resident_bytes": rep.resident_bytes,
         }),
         cost: None,
     }
@@ -615,6 +636,22 @@ mod tests {
                 }),
             }),
         })
+    }
+
+    /// The `tpcc` suite's device is sized at twice the data volume plus
+    /// growth slack (148 MiB), and its load writes 11.9 MiB of chunks.
+    /// The bound keeps host memory following the data: an image that
+    /// allocated eagerly again, or a load that wrote its slack, fails.
+    #[test]
+    fn tpcc_load_holds_only_the_chunks_it_writes() {
+        let (engine, _, _) = tpcc_run().load();
+        let dev = engine.device();
+        let resident = dev.resident_bytes();
+        assert!(
+            resident <= 16 << 20,
+            "tpcc load holds {resident} B of a {} B device",
+            dev.capacity()
+        );
     }
 
     #[test]

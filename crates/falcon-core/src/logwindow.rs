@@ -21,7 +21,7 @@
 //! §5.5 limitation that Figure 12 measures.
 
 use pmem_sim::trace::Event;
-use pmem_sim::{MemCtx, PAddr, PmemDevice};
+use pmem_sim::{MemCtx, PAddr, PersistDomain, PmemDevice};
 
 use falcon_storage::layout::PAGE_SIZE;
 use falcon_storage::{Catalog, NvmAllocator};
@@ -681,7 +681,11 @@ impl LogWindow {
     /// checkpoint running right after `finish` truncate the tail.
     pub fn finish(&mut self, ctx: &mut MemCtx) {
         let h = slot_hdr(self.base, self.cur);
-        self.dev.store_u64(h.add(S_STATE), FREE, ctx);
+        if self.flush_logs {
+            free_header(&self.dev, h, ctx);
+        } else {
+            self.dev.store_u64(h.add(S_STATE), FREE, ctx);
+        }
         self.in_overflow = false;
     }
 
@@ -804,13 +808,33 @@ fn slot_hdr(base: PAddr, slot: usize) -> PAddr {
     base.add(W_HDR + slot as u64 * SLOT_HDR)
 }
 
+/// Mark the slot whose header is at `h` `FREE`.
+///
+/// Under ADR the header is also emptied (no records, no spill extent)
+/// and written back. The slot's next occupant stamps `UNCOMMITTED` into
+/// this same line, and a write-back of it torn at 8-byte granularity
+/// can persist that state word beside the durable TID and length of
+/// the header before it. Emptied, those describe no records; left as
+/// they were, recovery would decode the previous, committed occupant's
+/// records as uncommitted and undo its index inserts, losing its rows.
+fn free_header(dev: &PmemDevice, h: PAddr, ctx: &mut MemCtx) {
+    if dev.config().domain == PersistDomain::Adr {
+        dev.store_u64(h.add(S_LEN), 0, ctx);
+        dev.store_u64(h.add(S_OVF_ADDR), 0, ctx);
+        dev.store_u64(h.add(S_STATE), FREE, ctx);
+        dev.clwb(h, ctx);
+    } else {
+        dev.store_u64(h.add(S_STATE), FREE, ctx);
+    }
+}
+
 /// Mark every slot of a window `FREE` (recovery calls this after
 /// replaying/discarding the slots, so a reopened engine starts from a
 /// clean window).
 pub fn clear_window(dev: &PmemDevice, base: PAddr, ctx: &mut MemCtx) {
     let slots = dev.load_u64(base.add(W_SLOTS), ctx) as usize;
     for s in 0..slots {
-        dev.store_u64(slot_hdr(base, s).add(S_STATE), FREE, ctx);
+        free_header(dev, slot_hdr(base, s), ctx);
     }
 }
 

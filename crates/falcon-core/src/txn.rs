@@ -769,9 +769,13 @@ impl<'e, 'w> Txn<'e, 'w> {
             // Stamp the version TID now: until the commit watermark
             // passes it, the recovery scan treats this slot as garbage
             // (a fresh slot's zeroed flags would read as "bulk-loaded").
+            // Under ADR the stamp is written back before the index entry
+            // below is: a row whose data reached the media under durable
+            // zeroed flags would otherwise recover as committed.
             self.e
                 .dev
                 .store_u64(slot.flags_addr(), self.tid << 8, &mut self.w.ctx);
+            self.e.dev.clwb_if_adr(slot.flags_addr(), &mut self.w.ctx);
         }
         // WAL order: the Insert record goes to the log *before* the
         // index entry becomes visible. A power cut between an index

@@ -332,6 +332,9 @@ pub struct SimReport {
     pub p99_latency_ns: u64,
     /// Committed write transactions per virtual second.
     pub txn_per_sec: f64,
+    /// Host bytes the device image held at the end
+    /// ([`PmemDevice::resident_bytes`]).
+    pub resident_bytes: u64,
 }
 
 /// Run the simulator once and reduce to metrics. Bit-identical for a
@@ -385,6 +388,7 @@ pub fn run_sim(spec: &SimSpec) -> Result<SimReport, String> {
         } else {
             committed as f64 * 1e9 / s.elapsed_ns as f64
         },
+        resident_bytes: dev.resident_bytes(),
     })
 }
 

@@ -141,10 +141,11 @@ impl PmemDevice {
         }
     }
 
-    /// Duplicate a quiesced or crashed device: the image is copied, while
-    /// the cache and XPBuffer models (and any trace or fault plan) start
-    /// fresh — e.g. to re-run recovery from one crash state several
-    /// times.
+    /// Duplicate a quiesced or crashed device: the image's touched chunks
+    /// are copied (the rest stay unallocated in both), while the cache
+    /// and XPBuffer models (and any trace or fault plan) start fresh —
+    /// e.g. to re-run recovery from one crash state several times. The
+    /// cost follows the bytes ever written, not the capacity.
     ///
     /// # Panics
     ///
@@ -167,6 +168,13 @@ impl PmemDevice {
     /// Device capacity in bytes.
     pub fn capacity(&self) -> u64 {
         self.inner.config.capacity
+    }
+
+    /// Host bytes the device image holds: the chunks ever written, times
+    /// the chunk size. Reads, loads and zeroing of never-written space
+    /// allocate nothing, so this follows the data, not the capacity.
+    pub fn resident_bytes(&self) -> u64 {
+        self.inner.image.resident_bytes()
     }
 
     // ------------------------------------------------------------------
@@ -1113,6 +1121,37 @@ mod tests {
         let mut ctx = MemCtx::new(0);
         d.write(PAddr(0), &[1u8; 8], &mut ctx);
         let _ = d.fork();
+    }
+
+    #[test]
+    fn untouched_space_holds_no_host_memory() {
+        let mut cfg = SimConfig::small();
+        cfg.capacity = 1 << 30;
+        let d = PmemDevice::new(cfg).unwrap();
+        assert_eq!(d.resident_bytes(), 0);
+        let mut ctx = MemCtx::new(0);
+        let mut buf = vec![0xA5u8; 4096];
+        d.read(PAddr(512 << 20), &mut buf, &mut ctx);
+        assert!(buf.iter().all(|&b| b == 0));
+        assert_eq!(d.load_u64(PAddr((1 << 30) - 8), &mut ctx), 0);
+        d.zero(PAddr(3), 1 << 20, &mut ctx);
+        d.quiesce();
+        assert_eq!(d.resident_bytes(), 0, "reads and zeroes of unwritten space");
+        d.store_u64(PAddr(1 << 29), 7, &mut ctx);
+        d.write(PAddr(4), &[1u8; 8], &mut ctx);
+        d.quiesce();
+        let touched = d.resident_bytes();
+        assert!(
+            touched > 0 && touched <= 1 << 20,
+            "{touched} B for two writes"
+        );
+        let f = d.fork();
+        assert_eq!(
+            f.resident_bytes(),
+            touched,
+            "a fork holds what its parent holds"
+        );
+        assert_eq!(f.load_u64(PAddr(1 << 29), &mut ctx), 7);
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Differential tests pinning "same model, faster code" for the two
-//! host kernels under every device access: the word-wise [`Backing`]
-//! byte-range kernels against a bytewise reference, and the flat,
-//! mask-and-shift [`CacheSim`] against a copy of the nested-`Box`,
-//! modulo-mapped implementation it replaced.
+//! host kernels under every device access: the word-wise, chunked
+//! [`Backing`] byte-range kernels against a bytewise reference (within
+//! one chunk and across chunk boundaries), and the flat, mask-and-shift
+//! [`CacheSim`] against a copy of the nested-`Box`, modulo-mapped
+//! implementation it replaced.
+
+use std::ops::Range;
 
 use proptest::prelude::*;
 
@@ -13,17 +16,19 @@ use pmem_sim::cache::{AccessResult, CacheSim, ClwbResult};
 
 const CAP: u64 = 128;
 
-/// The backing's bytes, read one aligned word at a time (a path that
-/// shares no code with `read_bytes`).
-fn image(b: &Backing) -> Vec<u8> {
-    (0..CAP / 8)
+/// The backing's bytes over `[lo, hi)` (both 8-aligned), read one
+/// aligned word at a time (a path that shares no code with
+/// `read_bytes`).
+fn image(b: &Backing, lo: u64, hi: u64) -> Vec<u8> {
+    (lo / 8..hi / 8)
         .flat_map(|w| b.load_u64(w * 8).to_le_bytes())
         .collect()
 }
 
 /// Apply one `(kind, off, len, fill)` op to both the backing and the
-/// bytewise model, checking the read result / resulting image.
-fn apply(b: &Backing, model: &mut [u8], kind: u8, off: u64, len: u64, fill: u8) {
+/// bytewise model, checking the read result and then the image's bytes
+/// over `check` (8-aligned).
+fn apply(b: &Backing, model: &mut [u8], kind: u8, off: u64, len: u64, fill: u8, check: Range<u64>) {
     let (lo, hi) = (off as usize, (off + len) as usize);
     match kind % 3 {
         0 => {
@@ -42,9 +47,9 @@ fn apply(b: &Backing, model: &mut [u8], kind: u8, off: u64, len: u64, fill: u8) 
         }
     }
     assert_eq!(
-        image(b),
-        model,
-        "image after kind={kind} off={off} len={len}"
+        image(b, check.start, check.end),
+        &model[check.start as usize..check.end as usize],
+        "image {check:?} after kind={kind} off={off} len={len}"
     );
 }
 
@@ -62,7 +67,7 @@ fn backing_kernels_match_bytewise_on_every_small_range() {
                 for (w, chunk) in model.chunks_exact(8).enumerate() {
                     b.store_u64(w as u64 * 8, u64::from_le_bytes(chunk.try_into().unwrap()));
                 }
-                apply(&b, &mut model, kind, off, len, 0x11);
+                apply(&b, &mut model, kind, off, len, 0x11, 0..CAP);
             }
         }
     }
@@ -85,8 +90,121 @@ proptest! {
         let b = Backing::new(CAP);
         let mut model = vec![0u8; CAP as usize];
         for &(kind, off, len, fill) in &ops {
-            apply(&b, &mut model, kind, off, len % (CAP - off + 1), fill);
+            apply(&b, &mut model, kind, off, len % (CAP - off + 1), fill, 0..CAP);
         }
+    }
+}
+
+// --- Backing across chunk boundaries ----------------------------------------
+
+/// The backing's chunk size. [`chunk_size_is_what_these_tests_assume`]
+/// pins it, so a change to the backing cannot silently move every
+/// boundary below out of these tests' reach.
+const CHUNK: u64 = 64 << 10;
+
+/// Four chunks, the last one partial: the capacity is a whole number
+/// of words but not of chunks.
+const BIG: u64 = 3 * CHUNK + 1000;
+
+/// The 8-aligned bytes within 64 of an op on `[off, off + len)`: the
+/// range it changes and its neighbours on both sides.
+fn near(off: u64, len: u64) -> Range<u64> {
+    (off.saturating_sub(64) & !7)..(off + len + 64).next_multiple_of(8).min(BIG)
+}
+
+#[test]
+fn chunk_size_is_what_these_tests_assume() {
+    let b = Backing::new(BIG);
+    b.write_bytes(CHUNK - 1, &[1, 2]);
+    assert_eq!(
+        b.resident_bytes(),
+        2 * CHUNK,
+        "one byte each side of a boundary"
+    );
+}
+
+/// Every small `(off, len)` shape that straddles each chunk boundary —
+/// and a few that span a whole chunk — for each kernel. Only the chunks
+/// either side of the boundary are pre-filled, so the other chunks are
+/// never written and reads and zeroes run over them too.
+#[test]
+fn backing_kernels_match_bytewise_across_chunk_boundaries() {
+    for boundary in [CHUNK, 2 * CHUNK, 3 * CHUNK] {
+        let mut shapes: Vec<(u64, u64)> = Vec::new();
+        for off in boundary - 20..boundary + 4 {
+            for len in 0..=44 {
+                shapes.push((off, len));
+            }
+        }
+        shapes.extend([
+            (boundary - CHUNK, CHUNK),
+            (boundary - CHUNK + 3, CHUNK + 11),
+            (boundary - 8, (BIG - boundary + 8).min(CHUNK + 16)),
+        ]);
+        for kind in 0..3u8 {
+            for &(off, len) in &shapes {
+                let b = Backing::new(BIG);
+                let mut model = vec![0u8; BIG as usize];
+                for w in (boundary - 64) / 8..(boundary + 64) / 8 {
+                    let word = 0x8080_8080_8080_8080 | (w * 0x0101_0101);
+                    b.store_u64(w * 8, word);
+                    model[w as usize * 8..w as usize * 8 + 8].copy_from_slice(&word.to_le_bytes());
+                }
+                apply(&b, &mut model, kind, off, len, 0x11, near(off, len));
+            }
+        }
+    }
+}
+
+/// Reads and zeroes of never-written chunks see and keep zeros and
+/// allocate nothing; one write allocates exactly the chunks it reaches.
+#[test]
+fn backing_untouched_chunks_read_and_zero_as_zeros() {
+    let b = Backing::new(BIG);
+    let mut all = vec![0xA5u8; BIG as usize];
+    b.read_bytes(0, &mut all);
+    assert!(all.iter().all(|&v| v == 0));
+    b.zero(5, BIG - 9);
+    assert_eq!(b.load_u64(BIG - 8), 0);
+    assert_eq!(b.resident_bytes(), 0);
+    b.write_bytes(2 * CHUNK - 3, &[7; 6]);
+    assert_eq!(b.resident_bytes(), 2 * CHUNK);
+    b.read_bytes(0, &mut all);
+    for (i, &v) in all.iter().enumerate() {
+        let want = if (2 * CHUNK - 3..2 * CHUNK + 3).contains(&(i as u64)) {
+            7
+        } else {
+            0
+        };
+        assert_eq!(v, want, "byte {i}");
+    }
+    b.zero(0, BIG);
+    b.read_bytes(0, &mut all);
+    assert!(all.iter().all(|&v| v == 0));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random interleavings of write / zero / read over ranges near the
+    /// chunk boundaries (and the device's end) leave the backing
+    /// byte-identical to the model around every op, and everywhere at
+    /// the end.
+    #[test]
+    fn backing_kernels_match_bytewise_on_random_streams_across_chunks(
+        ops in proptest::collection::vec(
+            (any::<u8>(), 0..=4u64, -300..300i64, 0..700u64, any::<u8>()),
+            1..60,
+        )
+    ) {
+        let b = Backing::new(BIG);
+        let mut model = vec![0u8; BIG as usize];
+        for &(kind, k, delta, len, fill) in &ops {
+            let off = (k * CHUNK).min(BIG).saturating_add_signed(delta).min(BIG);
+            let len = len.min(BIG - off);
+            apply(&b, &mut model, kind, off, len, fill, near(off, len));
+        }
+        prop_assert_eq!(image(&b, 0, BIG), model);
     }
 }
 

@@ -14,10 +14,10 @@ cd "$(dirname "$0")/.."
 # Tunables (the defaults are the gate CI runs):
 #   FALCON_CHAOS_ITERS      crash-recover-verify iterations per chaos spec
 #   FALCON_PERF_TOL         relative tolerance of the falcon-perf regression gate
-CHAOS_ITERS="${FALCON_CHAOS_ITERS:-200}"
+CHAOS_ITERS="${FALCON_CHAOS_ITERS:-2000}"
 PERF_TOL="${FALCON_PERF_TOL:-0}"
-if [ "$CHAOS_ITERS" != 200 ]; then
-    echo "!! non-default FALCON_CHAOS_ITERS=$CHAOS_ITERS (default 200)"
+if [ "$CHAOS_ITERS" != 2000 ]; then
+    echo "!! non-default FALCON_CHAOS_ITERS=$CHAOS_ITERS (default 2000)"
 fi
 if [ "$PERF_TOL" != 0 ]; then
     echo "!! non-default FALCON_PERF_TOL=$PERF_TOL (default 0: exact)"
